@@ -68,11 +68,15 @@ void BM_SampleSelectEndToEnd(benchmark::State& state) {
     std::size_t aux_bytes = 0;
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
-        benchmark::DoNotOptimize(res.value);
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {});
+        if (!res.ok()) {
+            state.SkipWithError(res.status().message.c_str());
+            return;
+        }
+        benchmark::DoNotOptimize(res.value().value);
         allocs += dev.tracker().alloc_count();
         reuses += dev.tracker().reuse_count();
-        aux_bytes = res.aux_bytes;
+        aux_bytes = res.value().aux_bytes;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
@@ -94,16 +98,24 @@ void BM_SampleSelectWarmPool(benchmark::State& state) {
     simt::Device dev(simt::arch_v100(), {.record_profiles = false});
     {
         // Warm the size classes once outside the timed region.
-        auto warm = core::sample_select<float>(dev, data, n / 2, {});
-        benchmark::DoNotOptimize(warm.value);
+        auto warm = core::try_sample_select<float>(dev, data, n / 2, {});
+        if (!warm.ok()) {
+            state.SkipWithError(warm.status().message.c_str());
+            return;
+        }
+        benchmark::DoNotOptimize(warm.value().value);
     }
     const std::uint64_t a0 = dev.tracker().alloc_count();
     const std::uint64_t r0 = dev.tracker().reuse_count();
     std::size_t aux_bytes = 0;
     for (auto _ : state) {
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
-        benchmark::DoNotOptimize(res.value);
-        aux_bytes = res.aux_bytes;
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {});
+        if (!res.ok()) {
+            state.SkipWithError(res.status().message.c_str());
+            return;
+        }
+        benchmark::DoNotOptimize(res.value().value);
+        aux_bytes = res.value().aux_bytes;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
@@ -170,8 +182,11 @@ void BM_SampleSelectUnderSan(benchmark::State& state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
         dev.set_sanitizer(mode);
         const auto t0 = std::chrono::steady_clock::now();
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
-        benchmark::DoNotOptimize(res.value);
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {});
+        benchmark::DoNotOptimize(res);
+        if (!res.ok() && !state.error_occurred()) {
+            state.SkipWithError(res.status().message.c_str());
+        }
         return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     };
     double off_s = 0.0;
@@ -181,13 +196,18 @@ void BM_SampleSelectUnderSan(benchmark::State& state) {
         off_s += wall(simt::SanMode::off);
         on_s += wall(simt::SanMode::strict);
     }
+    if (state.error_occurred()) return;
 
     std::uint64_t checks = 0;
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
         dev.set_sanitizer(simt::SanMode::strict);
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
-        benchmark::DoNotOptimize(res.value);
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {});
+        if (!res.ok()) {
+            state.SkipWithError(res.status().message.c_str());
+            return;
+        }
+        benchmark::DoNotOptimize(res.value().value);
         checks += dev.sanitizer()->checks();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -214,8 +234,11 @@ void BM_SampleSelectUnderStreamSan(benchmark::State& state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
         dev.set_stream_sanitizer(mode);
         const auto t0 = std::chrono::steady_clock::now();
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
-        benchmark::DoNotOptimize(res.value);
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {});
+        benchmark::DoNotOptimize(res);
+        if (!res.ok() && !state.error_occurred()) {
+            state.SkipWithError(res.status().message.c_str());
+        }
         return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     };
     double off_s = 0.0;
@@ -225,13 +248,18 @@ void BM_SampleSelectUnderStreamSan(benchmark::State& state) {
         off_s += wall(simt::StreamSanMode::off);
         on_s += wall(simt::StreamSanMode::strict);
     }
+    if (state.error_occurred()) return;
 
     std::uint64_t checks = 0;
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
         dev.set_stream_sanitizer(simt::StreamSanMode::strict);
-        auto res = core::sample_select<float>(dev, data, n / 2, {});
-        benchmark::DoNotOptimize(res.value);
+        auto res = core::try_sample_select<float>(dev, data, n / 2, {});
+        if (!res.ok()) {
+            state.SkipWithError(res.status().message.c_str());
+            return;
+        }
+        benchmark::DoNotOptimize(res.value().value);
         checks += dev.stream_sanitizer()->checks();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -296,8 +324,12 @@ void BM_ApproxSelect(benchmark::State& state) {
     cfg.num_buckets = 1024;
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
-        auto res = core::approx_select<float>(dev, data, n / 2, cfg);
-        benchmark::DoNotOptimize(res.value);
+        auto res = core::try_approx_select<float>(dev, data, n / 2, cfg);
+        if (!res.ok()) {
+            state.SkipWithError(res.status().message.c_str());
+            return;
+        }
+        benchmark::DoNotOptimize(res.value().value);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
@@ -365,8 +397,12 @@ void BM_Argselect(benchmark::State& state) {
         {.n = n, .dist = data::Distribution::uniform_real, .seed = 9});
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
-        auto res = core::argselect(dev, keys, n / 2, {});
-        benchmark::DoNotOptimize(res.index);
+        auto res = core::try_argselect(dev, keys, n / 2, {});
+        if (!res.ok()) {
+            state.SkipWithError(res.status().message.c_str());
+            return;
+        }
+        benchmark::DoNotOptimize(res.value().index);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
@@ -431,8 +467,12 @@ void BM_PlannerAdversarial(benchmark::State& state) {
     simt::RobustnessCounters rc;
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
-        auto res = core::topk_largest<float>(dev, data, k, {});
-        benchmark::DoNotOptimize(res.threshold);
+        auto res = core::try_topk_largest<float>(dev, data, k, {});
+        if (!res.ok()) {
+            state.SkipWithError(res.status().message.c_str());
+            break;  // still restore GPUSEL_BACKEND below
+        }
+        benchmark::DoNotOptimize(res.value().threshold);
         rc += dev.robustness();
         state.SetIterationTime(dev.elapsed_ns() * 1e-9);
     }

@@ -5,7 +5,7 @@
 //
 // Scenario: a service recorded 4M request latencies (log-normal-ish with a
 // long tail).  The dashboard needs p50 / p90 / p99 / p99.9 every minute.
-// multi_select shares the bucketing passes between all four quantiles
+// try_multi_select shares the bucketing passes between all four quantiles
 // instead of running four independent selections.
 //
 // The second half streams the same telemetry through the sharded layer's
@@ -54,7 +54,12 @@ int main() {
     }
 
     simt::Device dev(simt::arch_v100());
-    const auto res = core::multi_select<float>(dev, latencies, ranks, {});
+    const auto multi = core::try_multi_select<float>(dev, latencies, ranks, {});
+    if (!multi.ok()) {
+        std::cerr << "multi-rank selection failed: " << multi.status().to_message() << "\n";
+        return 1;
+    }
+    const auto& res = multi.value();
 
     std::cout << "latency samples : " << n << "\n";
     for (std::size_t i = 0; i < ranks.size(); ++i) {

@@ -1,8 +1,8 @@
 // Quickstart: the three entry points of the library in ~60 lines.
 //
-//   1. exact selection       core::sample_select
-//   2. approximate selection core::approx_select
-//   3. top-k selection       core::topk_largest
+//   1. exact selection       core::try_sample_select
+//   2. approximate selection core::try_approx_select
+//   3. top-k selection       core::try_topk_largest
 //
 // Everything runs on a simulated GPU (simt::Device); pick an architecture
 // preset, generate (or supply) data, call the algorithm.  Simulated
@@ -29,7 +29,13 @@ int main() {
 
     // ---- 1. exact selection ------------------------------------------------
     core::SampleSelectConfig cfg;           // 256 buckets, shared atomics, ...
-    const auto exact = core::sample_select<float>(dev, data, k, cfg);
+    // Every front-end returns core::Result<T>: the value, or a typed Status.
+    const auto exact_res = core::try_sample_select<float>(dev, data, k, cfg);
+    if (!exact_res.ok()) {
+        std::cerr << "exact selection failed: " << exact_res.status().to_message() << "\n";
+        return 1;
+    }
+    const auto& exact = exact_res.value();
     std::cout << "exact median        = " << exact.value << "\n"
               << "  recursion levels  = " << exact.levels << "\n"
               << "  simulated time    = " << exact.sim_ns / 1e6 << " ms ("
@@ -38,7 +44,13 @@ int main() {
     // ---- 2. approximate selection (one bucketing level) ---------------------
     core::SampleSelectConfig acfg;
     acfg.num_buckets = 1024;                // no oracles -> up to 1024 buckets
-    const auto approx = core::approx_select<float>(dev, data, k, acfg);
+    const auto approx_res = core::try_approx_select<float>(dev, data, k, acfg);
+    if (!approx_res.ok()) {
+        std::cerr << "approximate selection failed: " << approx_res.status().to_message()
+                  << "\n";
+        return 1;
+    }
+    const auto& approx = approx_res.value();
     std::cout << "approx median       = " << approx.value << "\n"
               << "  exact rank        = " << approx.splitter_rank << " (target " << k << ")\n"
               << "  rel. rank error   = "
@@ -48,7 +60,12 @@ int main() {
 
     // ---- 3. top-k selection (fused filter, Sec. IV-I) -----------------------
     const std::size_t topk = 10;
-    const auto top = core::topk_largest<float>(dev, data, topk, cfg);
+    const auto top_res = core::try_topk_largest<float>(dev, data, topk, cfg);
+    if (!top_res.ok()) {
+        std::cerr << "top-k failed: " << top_res.status().to_message() << "\n";
+        return 1;
+    }
+    const auto& top = top_res.value();
     std::cout << "top-" << topk << " threshold    = " << top.threshold << "\n"
               << "  simulated time    = " << top.sim_ns / 1e6 << " ms\n";
     return 0;

@@ -27,12 +27,19 @@ int main() {
     core::SampleSelectConfig cfg2;
     cfg2.stream = s2;
 
-    const auto r1 = core::sample_select<float>(dev, a, n / 2, cfg1);
-    const auto r2 = core::sample_select<float>(dev, b, n / 2, cfg2);
+    const auto r1 = core::try_sample_select<float>(dev, a, n / 2, cfg1);
+    const auto r2 = core::try_sample_select<float>(dev, b, n / 2, cfg2);
+    for (const auto* r : {&r1, &r2}) {
+        if (!r->ok()) {
+            std::cerr << "selection failed: " << r->status().to_message() << "\n";
+            return 1;
+        }
+    }
 
     const double busy1 = dev.stream_clock(s1);
     const double busy2 = dev.stream_clock(s2);
-    std::cout << "median(A) = " << r1.value << ",  median(B) = " << r2.value << "\n"
+    std::cout << "median(A) = " << r1.value().value << ",  median(B) = " << r2.value().value
+              << "\n"
               << "stream 1 busy : " << busy1 / 1e6 << " ms\n"
               << "stream 2 busy : " << busy2 / 1e6 << " ms\n"
               << "wall clock    : " << dev.elapsed_ns() / 1e6 << " ms  (vs "

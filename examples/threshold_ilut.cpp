@@ -51,10 +51,17 @@ int main() {
     // Approximate: one counting level, 1024 buckets, no oracles.
     core::SampleSelectConfig acfg;
     acfg.num_buckets = 1024;
-    const auto approx = core::approx_select<double>(dev, mags, rank, acfg);
+    const auto approx_res = core::try_approx_select<double>(dev, mags, rank, acfg);
 
     // Exact, for comparison (a real sweep would skip this).
-    const auto exact = core::sample_select<double>(dev, mags, rank, {});
+    const auto exact_res = core::try_sample_select<double>(dev, mags, rank, {});
+    if (!approx_res.ok() || !exact_res.ok()) {
+        const auto& failed = approx_res.ok() ? exact_res.status() : approx_res.status();
+        std::cerr << "selection failed: " << failed.to_message() << "\n";
+        return 1;
+    }
+    const auto& approx = approx_res.value();
+    const auto& exact = exact_res.value();
 
     const auto kept = static_cast<std::size_t>(
         std::count_if(mags.begin(), mags.end(), [&](double m) { return m >= approx.value; }));

@@ -46,7 +46,12 @@ int main() {
     core::SampleSelectConfig cfg;
     // A ranker needs document ids, not just scores: the indexed variant
     // returns the original positions of the k best scores.
-    const auto top = core::topk_largest_with_indices<float>(dev, scores, k, cfg);
+    const auto top_res = core::try_topk_largest_with_indices<float>(dev, scores, k, cfg);
+    if (!top_res.ok()) {
+        std::cerr << "top-k failed: " << top_res.status().to_message() << "\n";
+        return 1;
+    }
+    const auto& top = top_res.value();
 
     // Rank the k survivors exactly (k is tiny, sorting is free).
     std::vector<std::size_t> order(k);

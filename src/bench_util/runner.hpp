@@ -6,10 +6,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "core/status.hpp"
 #include "stats/summary.hpp"
 
 namespace gpusel::bench {
@@ -38,5 +41,16 @@ struct Scale {
 
 /// elements-per-second throughput from a duration summary.
 [[nodiscard]] double throughput(std::size_t n, double ns);
+
+/// The value of a core front-end call; on failure prints the Status and
+/// exits non-zero (a table row computed from a failed call would be wrong).
+template <typename T>
+[[nodiscard]] T value_or_exit(core::Result<T> r) {
+    if (!r.ok()) {
+        std::fprintf(stderr, "bench: %s\n", r.status().to_message().c_str());
+        std::exit(1);
+    }
+    return r.take();
+}
 
 }  // namespace gpusel::bench

@@ -1,7 +1,6 @@
 #include "core/approx_select.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "core/float_order.hpp"
@@ -13,11 +12,7 @@ template <typename T>
 Result<ApproxMultiResult<T>> try_approx_multi_select(simt::Device& dev, std::span<const T> input,
                                                      std::span<const std::size_t> ranks,
                                                      const SampleSelectConfig& cfg) {
-    try {
-        cfg.validate(/*exact=*/false);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status v = cfg.validate(/*exact=*/false); !v.ok()) return v;
     const std::size_t n = input.size();
     if (ranks.empty()) return ApproxMultiResult<T>{};
     for (const std::size_t r : ranks) {
@@ -70,10 +65,19 @@ Result<ApproxMultiResult<T>> try_approx_multi_select(simt::Device& dev, std::spa
         const auto totals = lv.totals_span();
         const auto prefix = lv.prefix_span();
 
+        // A rank between two splitters is at most half its bucket away
+        // from the nearer one; a rank in the first or last bucket has only
+        // one splitter on its side, so its error can reach the whole bucket.
         std::size_t max_bucket = 0;
+        std::size_t max_interior = 0;
         for (std::size_t i = 0; i < b; ++i) {
-            max_bucket = std::max(max_bucket, static_cast<std::size_t>(totals[i]));
+            const auto t = static_cast<std::size_t>(totals[i]);
+            max_bucket = std::max(max_bucket, t);
+            if (i > 0 && i + 1 < b) max_interior = std::max(max_interior, t);
         }
+        const std::size_t bound =
+            std::max({static_cast<std::size_t>(totals[0]),
+                      static_cast<std::size_t>(totals[b - 1]), (max_interior + 1) / 2});
 
         // Splitter ranks are r_i = prefix[i] for i = 1..b-1; answer every
         // target rank from the same prefix table.
@@ -85,6 +89,7 @@ Result<ApproxMultiResult<T>> try_approx_multi_select(simt::Device& dev, std::spa
                 p.splitter_rank = rank;
                 p.rank_error = 0;
                 p.max_bucket = max_bucket;
+                p.rank_error_bound = bound;
                 continue;
             }
             std::size_t best = 1;
@@ -101,6 +106,7 @@ Result<ApproxMultiResult<T>> try_approx_multi_select(simt::Device& dev, std::spa
             p.splitter_rank = static_cast<std::size_t>(prefix[best]);
             p.rank_error = best_err;
             p.max_bucket = max_bucket;
+            p.rank_error_bound = bound;
         }
     } else {
         // All keys are NaN: every rank answers the NaN representative.
@@ -121,13 +127,6 @@ Result<ApproxMultiResult<T>> try_approx_multi_select(simt::Device& dev, std::spa
 }
 
 template <typename T>
-ApproxMultiResult<T> approx_multi_select(simt::Device& dev, std::span<const T> input,
-                                         std::span<const std::size_t> ranks,
-                                         const SampleSelectConfig& cfg) {
-    return try_approx_multi_select<T>(dev, input, ranks, cfg).take_or_throw();
-}
-
-template <typename T>
 Result<ApproxResult<T>> try_approx_select(simt::Device& dev, std::span<const T> input,
                                           std::size_t rank, const SampleSelectConfig& cfg) {
     PipelineContext ctx(dev, cfg);
@@ -138,20 +137,6 @@ Result<ApproxResult<T>> try_approx_select(simt::Device& dev, std::span<const T> 
     auto multi = try_approx_multi_select<T>(dev, std::span<const T>(buf.span()), ranks, cfg);
     if (!multi.ok()) return multi.status();
     return multi.value().points.front();
-}
-
-template <typename T>
-ApproxResult<T> approx_select_device(simt::Device& dev, std::span<const T> data, std::size_t rank,
-                                     const SampleSelectConfig& cfg) {
-    const std::size_t ranks[] = {rank};
-    auto multi = approx_multi_select<T>(dev, data, ranks, cfg);
-    return multi.points.front();
-}
-
-template <typename T>
-ApproxResult<T> approx_select(simt::Device& dev, std::span<const T> input, std::size_t rank,
-                              const SampleSelectConfig& cfg) {
-    return try_approx_select<T>(dev, input, rank, cfg).take_or_throw();
 }
 
 template Result<ApproxMultiResult<float>> try_approx_multi_select<float>(
@@ -167,22 +152,5 @@ template Result<ApproxResult<double>> try_approx_select<double>(simt::Device&,
                                                                 std::span<const double>,
                                                                 std::size_t,
                                                                 const SampleSelectConfig&);
-template ApproxMultiResult<float> approx_multi_select<float>(simt::Device&,
-                                                             std::span<const float>,
-                                                             std::span<const std::size_t>,
-                                                             const SampleSelectConfig&);
-template ApproxMultiResult<double> approx_multi_select<double>(simt::Device&,
-                                                               std::span<const double>,
-                                                               std::span<const std::size_t>,
-                                                               const SampleSelectConfig&);
-template ApproxResult<float> approx_select<float>(simt::Device&, std::span<const float>,
-                                                  std::size_t, const SampleSelectConfig&);
-template ApproxResult<double> approx_select<double>(simt::Device&, std::span<const double>,
-                                                    std::size_t, const SampleSelectConfig&);
-template ApproxResult<float> approx_select_device<float>(simt::Device&, std::span<const float>,
-                                                         std::size_t, const SampleSelectConfig&);
-template ApproxResult<double> approx_select_device<double>(simt::Device&,
-                                                           std::span<const double>, std::size_t,
-                                                           const SampleSelectConfig&);
 
 }  // namespace gpusel::core

@@ -5,7 +5,9 @@
 // closest to the target rank k is returned as the approximate k-th order
 // statistic.  No oracles are written and no filter runs, which radically
 // reduces the memory work; the bucket count (up to 1024, shared-memory
-// limited) controls the rank-error bound of half the maximum bucket size.
+// limited) controls the rank error: half the largest interior bucket, or
+// the whole first/last bucket for ranks below the first or above the last
+// splitter.
 
 #include <cstdint>
 #include <span>
@@ -25,18 +27,18 @@ struct ApproxResult {
     std::size_t splitter_rank = 0;
     /// |r_i - k|: the rank error, exact by construction.
     std::size_t rank_error = 0;
-    /// Largest bucket size of this level (the paper's error bound is half
-    /// of this).
+    /// Largest bucket size of this level.
     std::size_t max_bucket = 0;
+    /// Bound on rank_error that holds for every rank of this level:
+    /// max(first bucket, last bucket, ceil(largest interior bucket / 2)).
+    /// The paper's "half the largest bucket" only covers ranks between two
+    /// splitters; a rank in the first (last) bucket has just one splitter
+    /// above (below) it.
+    std::size_t rank_error_bound = 0;
     /// Simulated duration [ns].
     double sim_ns = 0.0;
     std::uint64_t launches = 0;
 };
-
-/// Approximates the element of the given rank with one bucketing level.
-template <typename T>
-[[nodiscard]] ApproxResult<T> approx_select(simt::Device& dev, std::span<const T> input,
-                                            std::size_t rank, const SampleSelectConfig& cfg);
 
 /// Multi-rank approximation: the bucket prefix sums of a single counting
 /// level contain the exact ranks of *all* splitters, so approximating any
@@ -48,32 +50,22 @@ struct ApproxMultiResult {
     std::uint64_t launches = 0;
 };
 
-template <typename T>
-[[nodiscard]] ApproxMultiResult<T> approx_multi_select(simt::Device& dev,
-                                                       std::span<const T> input,
-                                                       std::span<const std::size_t> ranks,
-                                                       const SampleSelectConfig& cfg);
-
-/// Fault-hardened variants: typed Status for bad arguments, out-of-range
-/// ranks, rejected NaN keys and exhausted fault retries.  Under
-/// NanPolicy::propagate_largest a rank inside the NaN tail answers quiet
-/// NaN with zero rank error (every tail element is NaN).
+/// Typed Status for bad arguments, out-of-range ranks, rejected NaN keys
+/// and exhausted fault retries.  Under NanPolicy::propagate_largest a rank
+/// inside the NaN tail answers quiet NaN with zero rank error (every tail
+/// element is NaN).  Reads `input` in place (no staging copy unless NaN
+/// keys must be compacted).
 template <typename T>
 [[nodiscard]] Result<ApproxMultiResult<T>> try_approx_multi_select(
     simt::Device& dev, std::span<const T> input, std::span<const std::size_t> ranks,
     const SampleSelectConfig& cfg);
 
+/// Approximates the element of the given rank with one bucketing level.
 template <typename T>
 [[nodiscard]] Result<ApproxResult<T>> try_approx_select(simt::Device& dev,
                                                         std::span<const T> input,
                                                         std::size_t rank,
                                                         const SampleSelectConfig& cfg);
-
-/// Device-resident variant (does not copy the input).
-template <typename T>
-[[nodiscard]] ApproxResult<T> approx_select_device(simt::Device& dev, std::span<const T> data,
-                                                   std::size_t rank,
-                                                   const SampleSelectConfig& cfg);
 
 extern template Result<ApproxMultiResult<float>> try_approx_multi_select<float>(
     simt::Device&, std::span<const float>, std::span<const std::size_t>,
@@ -89,23 +81,5 @@ extern template Result<ApproxResult<double>> try_approx_select<double>(simt::Dev
                                                                        std::span<const double>,
                                                                        std::size_t,
                                                                        const SampleSelectConfig&);
-extern template ApproxMultiResult<float> approx_multi_select<float>(
-    simt::Device&, std::span<const float>, std::span<const std::size_t>,
-    const SampleSelectConfig&);
-extern template ApproxMultiResult<double> approx_multi_select<double>(
-    simt::Device&, std::span<const double>, std::span<const std::size_t>,
-    const SampleSelectConfig&);
-extern template ApproxResult<float> approx_select<float>(simt::Device&, std::span<const float>,
-                                                         std::size_t, const SampleSelectConfig&);
-extern template ApproxResult<double> approx_select<double>(simt::Device&, std::span<const double>,
-                                                           std::size_t, const SampleSelectConfig&);
-extern template ApproxResult<float> approx_select_device<float>(simt::Device&,
-                                                                std::span<const float>,
-                                                                std::size_t,
-                                                                const SampleSelectConfig&);
-extern template ApproxResult<double> approx_select_device<double>(simt::Device&,
-                                                                  std::span<const double>,
-                                                                  std::size_t,
-                                                                  const SampleSelectConfig&);
 
 }  // namespace gpusel::core

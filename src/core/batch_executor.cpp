@@ -59,10 +59,6 @@ Result<int> try_resolve_stream_count(std::size_t batch, int requested) {
     return static_cast<int>(want);
 }
 
-int resolve_stream_count(std::size_t batch, int requested) {
-    return try_resolve_stream_count(batch, requested).take_or_throw();
-}
-
 StreamFan::StreamFan(simt::Device& dev, int count, int base_stream) : dev_(&dev) {
     if (count < 1) count = 1;
     streams_.reserve(static_cast<std::size_t>(count));
@@ -159,11 +155,7 @@ template <typename T>
 Result<BatchExecResult<T>> BatchExecutor<T>::run(std::span<const BatchProblem<T>> problems) {
     simt::Device& dev = *dev_;
     const SampleSelectConfig& cfg = cfg_;
-    try {
-        cfg.validate(/*exact=*/true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status v = cfg.validate(/*exact=*/true); !v.ok()) return v;
     if (problems.empty()) {
         return Status::failure(SelectError::invalid_argument, "batch_executor: empty batch");
     }

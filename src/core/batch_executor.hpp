@@ -5,7 +5,7 @@
 //
 // Three layers:
 //
-//   * resolve_stream_count -- the fan-width policy: an explicit request
+//   * try_resolve_stream_count -- the fan-width policy: an explicit request
 //     wins, then the GPUSEL_STREAMS environment variable, then the
 //     default min(batch, 8); always clamped to [1, batch].
 //   * StreamFan -- RAII lease of extra streams from the device's reuse
@@ -62,9 +62,6 @@ inline constexpr long kMaxStreamFan = 256;
 /// silently falling back (an operator typo must not quietly serialize the
 /// whole fleet onto one stream).  An empty value counts as unset.
 [[nodiscard]] Result<int> try_resolve_stream_count(std::size_t batch, int requested = 0);
-
-/// Legacy wrapper: try_resolve_stream_count or throw_status().
-[[nodiscard]] int resolve_stream_count(std::size_t batch, int requested = 0);
 
 /// RAII fan of streams: lane 0 is the caller's base stream, lanes 1..n-1
 /// are leased from the device and returned on destruction.  Callers should

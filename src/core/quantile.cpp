@@ -1,7 +1,6 @@
 #include "core/quantile.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace gpusel::core {
 
@@ -21,10 +20,6 @@ Result<std::size_t> try_quantile_rank(std::size_t n, double q, QuantileMethod me
         case QuantileMethod::higher: r = std::ceil(pos); break;
     }
     return static_cast<std::size_t>(r);
-}
-
-std::size_t quantile_rank(std::size_t n, double q, QuantileMethod method) {
-    return try_quantile_rank(n, q, method).take_or_throw();
 }
 
 }  // namespace gpusel::core

@@ -25,11 +25,7 @@ namespace {
 constexpr std::uint64_t kShardSeedStep = 0x9e3779b97f4a7c15ull;
 
 Status validate_shard_config(const ShardSelectConfig& cfg) {
-    try {
-        cfg.select.validate(true);
-    } catch (const std::invalid_argument& e) {
-        return Status::failure(SelectError::invalid_argument, e.what());
-    }
+    if (Status v = cfg.select.validate(true); !v.ok()) return v;
     const int b = cfg.splitter_buckets;
     if (b < 2 || b > kMaxExactBuckets || (b & (b - 1)) != 0) {
         return Status::failure(SelectError::invalid_argument,

@@ -12,16 +12,9 @@
 //                     sentinel.
 //   * Result<T>    -- expected<T, Status>-style sum type returned by the
 //                     `try_*` front-end entry points.
-//
-// The legacy value-returning entry points (sample_select, topk_largest,
-// ...) remain as thin wrappers that call the try_* variant and rethrow the
-// Status through throw_status(), preserving the std::exception types the
-// pre-existing API contract documented (std::invalid_argument,
-// std::out_of_range).  New code that must survive faults uses try_*.
 
 #include <cassert>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -109,40 +102,11 @@ struct [[nodiscard]] Status {
         assert(code != SelectError::none);
         return {code, std::move(message)};
     }
-    /// "code: message" for logs and exception payloads.
+    /// "code: message" for logs and diagnostics.
     [[nodiscard]] std::string to_message() const {
         return std::string(to_string(code)) + ": " + message;
     }
 };
-
-/// Exception carrying a Status, thrown by the legacy wrappers for codes
-/// that have no pre-existing std::exception contract (faults, progress).
-class SelectException : public std::runtime_error {
-public:
-    explicit SelectException(Status status)
-        : std::runtime_error(status.to_message()), status_(std::move(status)) {}
-    [[nodiscard]] const Status& status() const noexcept { return status_; }
-
-private:
-    Status status_;
-};
-
-/// Rethrows a Status with the exception type the legacy API documented:
-/// argument/precondition problems keep their std types so existing callers
-/// (and tests) see unchanged behavior; fault/progress codes surface as
-/// SelectException.
-[[noreturn]] inline void throw_status(const Status& s) {
-    switch (s.code) {
-        case SelectError::invalid_argument:
-        case SelectError::empty_input:
-        case SelectError::nan_keys_rejected:
-            throw std::invalid_argument(s.message);
-        case SelectError::rank_out_of_range:
-            throw std::out_of_range(s.message);
-        default:
-            throw SelectException(s);
-    }
-}
 
 /// Minimal expected<T, Status>: either a value or a non-ok Status.
 /// [[nodiscard]] like Status: ignoring a Result drops both the answer and
@@ -174,11 +138,6 @@ public:
     /// Moves the value out (the Result is left valueless).
     [[nodiscard]] T take() {
         assert(ok());
-        return std::move(*value_);
-    }
-    /// Legacy bridge: the value, or throw_status() on error.
-    [[nodiscard]] T take_or_throw() {
-        if (!ok()) throw_status(status_);
         return std::move(*value_);
     }
 

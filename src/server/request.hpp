@@ -106,7 +106,8 @@ struct Response {
     /// Backend that answered ("sample"/"radix"/"bitonic"; "" when unknown).
     const char* backend = "";
     /// Approx/degraded answers: exact rank error of the returned splitter
-    /// and the level's a-priori bound (max_bucket / 2, Sec. II-C).
+    /// and the level's a-priori bound (core::ApproxResult::rank_error_bound
+    /// or its sharded counterpart).
     std::size_t rank_error = 0;
     std::size_t rank_error_bound = 0;
     /// Simulated-clock milestones: arrival (admission stamp), start (the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -74,7 +75,9 @@ double ServerMetrics::latency_percentile(double pct) const {
 
 SelectServer::SelectServer(simt::Device& dev, ServerConfig cfg)
     : dev_(dev), cfg_(std::move(cfg)), breakers_(cfg_.breaker) {
-    cfg_.select.validate(/*exact=*/true);
+    if (Status v = cfg_.select.validate(/*exact=*/true); !v.ok()) {
+        throw std::invalid_argument("SelectServer: " + v.message);
+    }
     if (cfg_.max_batch == 0) cfg_.max_batch = 1;
     busy_until_ns_ = dev_.stream_clock(cfg_.select.stream);
 }
@@ -425,7 +428,7 @@ void SelectServer::run_round(std::vector<Pending> picked, double round_start) {
         if (res.ok()) {
             f.resp.value = res.value().value;
             f.resp.rank_error = res.value().rank_error;
-            f.resp.rank_error_bound = res.value().max_bucket / 2;
+            f.resp.rank_error_bound = res.value().rank_error_bound;
             f.resp.backend = "sample";
         } else {
             f.resp.status = res.status();

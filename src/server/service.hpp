@@ -57,6 +57,9 @@ namespace gpusel::server {
 
 class SelectServer {
 public:
+    /// Throws std::invalid_argument when cfg.select fails
+    /// SampleSelectConfig::validate (a bad server config is a programming
+    /// error, not a per-request failure).
     SelectServer(simt::Device& dev, ServerConfig cfg);
     /// Stops the dispatcher thread (if running) and resolves every queued
     /// request with SelectError::overloaded ("server shutting down") --

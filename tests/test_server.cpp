@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "data/distributions.hpp"
+#include "result_util.hpp"
 #include "server/loadgen.hpp"
 #include "server/service.hpp"
 #include "simt/arch.hpp"
@@ -113,9 +114,8 @@ TEST(Server, QuantileMapsToRank) {
     ASSERT_TRUE(srv.pump());
     const Response r = fut.get();
     ASSERT_TRUE(r.status.ok()) << r.status.message;
-    const std::size_t rank = core::try_quantile_rank(data.size(), 0.9,
-                                                     core::QuantileMethod::nearest)
-                                 .take_or_throw();
+    const std::size_t rank =
+        must(core::try_quantile_rank(data.size(), 0.9, core::QuantileMethod::nearest));
     EXPECT_EQ(stats::rank_error<float>(data, r.value, rank), 0u);
 }
 

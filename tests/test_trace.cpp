@@ -8,6 +8,7 @@
 
 #include "core/sample_select.hpp"
 #include "data/distributions.hpp"
+#include "result_util.hpp"
 #include "simt/device.hpp"
 
 namespace {
@@ -18,7 +19,7 @@ std::vector<simt::KernelProfile> sample_profiles() {
     simt::Device dev(simt::arch_v100());
     const auto data = data::generate<float>(
         {.n = 1 << 14, .dist = data::Distribution::uniform_real, .seed = 3});
-    (void)core::sample_select<float>(dev, data, 1 << 13, {});
+    (void)must(core::try_sample_select<float>(dev, data, 1 << 13, {}));
     return dev.profiles();
 }
 

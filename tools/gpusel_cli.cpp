@@ -129,12 +129,23 @@ data::Distribution parse_dist(const std::string& name) {
     usage(2);
 }
 
+/// Prints a failed front-end call's Status; true when `r` holds a value.
+template <typename T>
+bool report(const core::Result<T>& r) {
+    if (!r.ok()) std::cerr << "error: " << r.status().to_message() << "\n";
+    return r.ok();
+}
+
 int run(const Options& o) {
     const auto dist = parse_dist(o.dist);
     const auto data = data::generate<float>(
         {.n = o.n, .dist = dist, .distinct_values = o.distinct, .seed = o.seed});
     std::size_t rank = o.rank.value_or(o.n / 2);
-    if (o.quantile) rank = core::quantile_rank(o.n, *o.quantile);
+    if (o.quantile) {
+        const auto q = core::try_quantile_rank(o.n, *o.quantile);
+        if (!report(q)) return 2;
+        rank = q.value();
+    }
     if (rank >= o.n) {
         std::cerr << "rank " << rank << " out of range for n = " << o.n << "\n";
         return 2;
@@ -155,14 +166,18 @@ int run(const Options& o) {
     float value = 0;
     double sim_ns = 0;
     if (o.algo == "sample") {
-        const auto r = core::sample_select<float>(dev, data, rank, cfg);
+        const auto res = core::try_sample_select<float>(dev, data, rank, cfg);
+        if (!report(res)) return 1;
+        const auto& r = res.value();
         value = r.value;
         sim_ns = r.sim_ns;
         std::cout << "sample_select rank " << rank << " -> " << value << "  (levels "
                   << r.levels << (r.equality_exit ? ", equality exit" : "") << ", launches "
                   << r.launches << ", aux " << r.aux_bytes << " B)\n";
     } else if (o.algo == "approx") {
-        const auto r = core::approx_select<float>(dev, data, rank, cfg);
+        const auto res = core::try_approx_select<float>(dev, data, rank, cfg);
+        if (!report(res)) return 1;
+        const auto& r = res.value();
         value = r.value;
         sim_ns = r.sim_ns;
         std::cout << "approx_select rank " << rank << " -> " << value << "  (exact rank "
@@ -203,13 +218,17 @@ int run(const Options& o) {
         std::cout << "radix_select rank " << rank << " -> " << value << "  (levels " << r.levels
                   << ")\n";
     } else if (o.algo == "topk") {
-        const auto r = core::topk_largest<float>(dev, data, o.k, cfg);
+        const auto res = core::try_topk_largest<float>(dev, data, o.k, cfg);
+        if (!report(res)) return 1;
+        const auto& r = res.value();
         value = r.threshold;
         sim_ns = r.sim_ns;
         std::cout << "topk_largest k=" << o.k << " -> threshold " << value << "  ("
                   << r.elements.size() << " elements, levels " << r.levels << ")\n";
     } else if (o.algo == "sort") {
-        const auto r = core::sample_sort<float>(dev, data, cfg);
+        const auto res = core::try_sample_sort<float>(dev, data, cfg);
+        if (!report(res)) return 1;
+        const auto& r = res.value();
         value = r.sorted.empty() ? 0.0f : r.sorted[rank];
         sim_ns = r.sim_ns;
         std::cout << "sample_sort -> " << r.sorted.size() << " elements sorted (depth "
