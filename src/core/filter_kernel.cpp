@@ -127,6 +127,83 @@ void filter_fused_topk_kernel(simt::Device& dev, std::span<const T> data,
                   cfg, origin, grid_dim, stream, "filter_topk");
 }
 
+template <typename T>
+void scatter_kernel(simt::Device& dev, std::span<const T> data,
+                    std::span<const std::uint8_t> oracles,
+                    std::span<const std::int32_t> seg_base, std::span<T> out,
+                    std::span<const std::int32_t> block_offsets,
+                    std::span<std::int32_t> cursors, const SampleSelectConfig& cfg,
+                    simt::LaunchOrigin origin, int grid_dim, int stream) {
+    const std::size_t n = data.size();
+    const std::size_t b = seg_base.size();
+    if (oracles.size() != n) throw std::invalid_argument("oracle buffer size mismatch");
+    const bool shared_mode = cfg.atomic_space == simt::AtomicSpace::shared;
+    if (shared_mode && block_offsets.size() < static_cast<std::size_t>(grid_dim) * b) {
+        throw std::invalid_argument("block_offsets too small");
+    }
+    if (!shared_mode && cursors.size() < b) {
+        throw std::invalid_argument("global mode needs one cursor per bucket");
+    }
+    // Global cursors are always warp-aggregated (one atomic per bucket group
+    // per warp); shared cursors follow cfg.warp_aggregation (Fig. 6).
+    // Either way same-bucket lanes get lane-ordered consecutive slots.
+    const bool aggregated = cfg.warp_aggregation || !shared_mode;
+    const int index_bits = std::bit_width(b - 1);
+    const std::size_t words = (b + 31) / 32;
+
+    dev.launch(
+        "scatter",
+        {.grid_dim = grid_dim, .block_dim = cfg.block_dim, .origin = origin,
+         .unroll = cfg.unroll, .stream = stream < 0 ? cfg.stream : stream},
+        [&, n, b, words, shared_mode, aggregated, index_bits](simt::BlockCtx& blk) {
+            // Prologue: the segment table becomes a read-only membership
+            // bitmask and, in shared mode, the block's cursors (segment base
+            // + the block's offset within the bucket).
+            auto member = blk.shared_array<std::uint32_t>(words);
+            std::span<std::int32_t> sh_cursors;
+            if (shared_mode) sh_cursors = blk.shared_array<std::int32_t>(b);
+            const auto row = static_cast<std::size_t>(blk.block_idx()) * b;
+            std::uint32_t word = 0;
+            for (std::size_t i = 0; i < b; ++i) {
+                const std::int32_t base = blk.ld(seg_base, i);
+                if (base >= 0) word |= std::uint32_t{1} << (i % 32);
+                if (i % 32 == 31 || i + 1 == b) {
+                    blk.shared_st(member, i / 32, word);
+                    word = 0;
+                }
+                if (shared_mode) {
+                    blk.shared_st(sh_cursors, i, base + blk.ld(block_offsets, row + i));
+                }
+            }
+            blk.charge_global_read((shared_mode ? 2 : 1) * b * sizeof(std::int32_t));
+            blk.charge_shared(((shared_mode ? b : 0) + words) * sizeof(std::int32_t));
+            blk.sync();
+
+            const std::span<std::int32_t> ctr = shared_mode ? sh_cursors : cursors;
+            blk.warp_tiles(n, [&](simt::WarpCtx& w, std::size_t base, std::size_t) {
+                std::uint8_t orc[simt::kWarpSize];
+                T elems[simt::kWarpSize];
+                std::int32_t which[simt::kWarpSize];
+                std::int32_t off[simt::kWarpSize] = {};
+                bool keep[simt::kWarpSize];
+                std::size_t idx[simt::kWarpSize];
+                w.load(oracles, base, orc);
+                w.load(data, base, elems);
+                for (int l = 0; l < w.lanes(); ++l) {
+                    which[l] = orc[l];
+                    keep[l] = ((blk.shared_ld(member, orc[l] / 32u) >> (orc[l] % 32u)) & 1u) != 0;
+                }
+                // The membership test: one shared-word read and compare per
+                // lane.
+                w.touch_shared(static_cast<std::uint64_t>(w.lanes()) * sizeof(std::uint32_t));
+                w.add_instr(static_cast<std::uint64_t>(w.lanes()));
+                w.fetch_add(cfg.atomic_space, ctr, which, off, aggregated, index_bits, keep);
+                for (int l = 0; l < w.lanes(); ++l) idx[l] = static_cast<std::size_t>(off[l]);
+                w.scatter(out, idx, elems, keep);
+            });
+        });
+}
+
 template void filter_kernel<float>(simt::Device&, std::span<const float>,
                                    std::span<const std::uint8_t>, std::int32_t, std::span<float>,
                                    std::span<const std::int32_t>, int, std::span<std::int32_t>,
@@ -147,6 +224,16 @@ template void filter_fused_topk_kernel<double>(simt::Device&, std::span<const do
                                                std::span<const std::int32_t>, int,
                                                std::span<std::int32_t>, const SampleSelectConfig&,
                                                simt::LaunchOrigin, int, int);
+template void scatter_kernel<float>(simt::Device&, std::span<const float>,
+                                    std::span<const std::uint8_t>, std::span<const std::int32_t>,
+                                    std::span<float>, std::span<const std::int32_t>,
+                                    std::span<std::int32_t>, const SampleSelectConfig&,
+                                    simt::LaunchOrigin, int, int);
+template void scatter_kernel<double>(simt::Device&, std::span<const double>,
+                                     std::span<const std::uint8_t>, std::span<const std::int32_t>,
+                                     std::span<double>, std::span<const std::int32_t>,
+                                     std::span<std::int32_t>, const SampleSelectConfig&,
+                                     simt::LaunchOrigin, int, int);
 template void filter_kernel<ArgPair>(simt::Device&, std::span<const ArgPair>,
                                      std::span<const std::uint8_t>, std::int32_t,
                                      std::span<ArgPair>, std::span<const std::int32_t>, int,

@@ -4,7 +4,9 @@
 #include <map>
 #include <utility>
 
+#include "bitonic/bitonic.hpp"
 #include "core/batch_executor.hpp"
+#include "core/filter_kernel.hpp"
 #include "core/float_order.hpp"
 #include "core/pipeline.hpp"
 #include "core/planner.hpp"
@@ -19,22 +21,52 @@ struct Target {
     std::size_t out_slot;
 };
 
+/// Sorts every small target bucket of level `lv` at once (the distribution
+/// pass + batched small-bucket sort of GPU Sample Sort): ONE scatter
+/// gathers the buckets with seg_base[b] >= 0 into `gather`, one segment
+/// per bucket, and ONE batched bitonic launch sorts all the segments.
+template <typename T>
+void sort_leaf_buckets(const PipelineContext& ctx, std::span<const T> data,
+                       const LevelOutcome<T>& lv, const std::vector<std::int32_t>& seg_base,
+                       const std::vector<bitonic::Segment>& segments, std::span<T> gather,
+                       simt::LaunchOrigin origin) {
+    // The segment table travels with the launch arguments (an uncharged
+    // host write, like filter_topk's cursor seeds); in global mode a second
+    // copy seeds the per-bucket cursors, so no memset launch is needed.
+    auto table = ctx.scratch<std::int32_t>(seg_base.size());
+    std::copy(seg_base.begin(), seg_base.end(), table.span().begin());
+    simt::PooledBuffer<std::int32_t> cursors;
+    if (!ctx.shared_mode()) {
+        cursors = ctx.scratch<std::int32_t>(seg_base.size());
+        std::copy(seg_base.begin(), seg_base.end(), cursors.span().begin());
+    }
+    scatter_kernel<T>(ctx.dev(), data, lv.oracles.span(), table.span(), gather,
+                      lv.block_counts.span(), cursors.span(), ctx.cfg(), origin, lv.grid,
+                      ctx.stream());
+    bitonic::batched_sort_on_device<T>(ctx.dev(), gather, segments, origin, ctx.cfg().block_dim,
+                                       ctx.stream());
+}
+
 /// Tree descent: one bucketing level shared by all targets in `buf`, then
-/// recursion per populated bucket.  Unlike the linear sample_select
-/// descent, children branch, so each child gets its own pooled holder
-/// (released back to the pool when its subtree is done) instead of the
-/// two-buffer ping-pong.
+/// every small target bucket (<= min(base_case_size, bitonic capacity)) is
+/// answered by one scatter + one batched sort, and only the larger buckets
+/// recurse.  Unlike the linear sample_select descent, children branch, so
+/// each recursing child gets its own pooled holder (released back to the
+/// pool when its subtree is done) instead of the two-buffer ping-pong.
+///
+/// The host groups the targets from the level's totals, so the level skips
+/// the select_bucket locate launch.
 ///
 /// `stalls` counts consecutive no-progress levels on this path; past
 /// cfg.max_stalled_levels the node runs the deterministic tripartition
 /// level instead of sampling (guaranteed progress, docs/robustness.md).
 ///
-/// `fan` (may be null) is the stream fan for the first level that splits
-/// the targets into more than one bucket: each bucket subtree then runs on
-/// its own lane (children wait on the level's event, the base stream joins
-/// them at the end) and deeper recursions stay on their lane's stream.
-/// Levels that do not split (stalls, single-bucket descents) pass the fan
-/// down unused, so the fan applies to the first *partitioning* level.
+/// `fan` (may be null) is the stream fan for the first level with more
+/// than one recursing bucket: each such subtree then runs on its own lane
+/// (children wait on the level's event, the base stream joins them at the
+/// end) and deeper recursions stay on their lane's stream.  The leaf batch
+/// stays on the level's stream.  Levels that do not fork pass the fan down
+/// unused.
 template <typename T>
 Status solve(const PipelineContext& ctx, DataHolder<T> buf, std::vector<Target> targets,
              std::size_t depth, std::size_t stalls, MultiSelectResult<T>& res, StreamFan* fan) {
@@ -56,10 +88,11 @@ Status solve(const PipelineContext& ctx, DataHolder<T> buf, std::vector<Target> 
 
     const bool use_fallback =
         cfg.force_fallback || stalls > static_cast<std::size_t>(cfg.max_stalled_levels);
-    auto lvres =
-        use_fallback
-            ? try_run_pivot_level<T>(ctx, buf.span(), targets.front().rank, origin)
-            : try_run_bucket_level<T>(ctx, buf.span(), targets.front().rank, origin, depth * 977);
+    const LevelOptions opt{.locate = false};
+    auto lvres = use_fallback
+                     ? try_run_pivot_level<T>(ctx, buf.span(), /*rank=*/0, origin, opt)
+                     : try_run_bucket_level<T>(ctx, buf.span(), /*rank=*/0, origin,
+                                               depth * 977, opt);
     if (!lvres.ok()) return lvres.status();
     const LevelOutcome<T> lv = lvres.take();
     if (use_fallback) {
@@ -68,37 +101,64 @@ Status solve(const PipelineContext& ctx, DataHolder<T> buf, std::vector<Target> 
     }
 
     const auto b = static_cast<std::size_t>(lv.tree.num_buckets);
-    const auto prefix = lv.prefix_span();
     const auto totals = lv.totals_span();
-
-    // Group target ranks by bucket.
-    std::map<std::int32_t, std::vector<Target>> by_bucket;
-    for (const Target& t : targets) {
-        std::int32_t bucket = 0;
-        for (std::size_t i = 0; i < b; ++i) {
-            if (static_cast<std::size_t>(prefix[i]) <= t.rank) {
-                bucket = static_cast<std::int32_t>(i);
-            }
-        }
-        by_bucket[bucket].push_back(
-            {t.rank - static_cast<std::size_t>(prefix[static_cast<std::size_t>(bucket)]),
-             t.out_slot});
+    std::vector<std::size_t> prefix(b + 1, 0);
+    for (std::size_t i = 0; i < b; ++i) {
+        prefix[i + 1] = prefix[i] + static_cast<std::size_t>(totals[i]);
     }
 
-    // Fan the bucket subtrees over the stream lanes once the level really
-    // split the targets; the host still descends depth-first, so the
-    // launch order is unchanged -- only the stream tags differ.
-    const bool fanning = fan != nullptr && fan->count() > 1 && by_bucket.size() > 1;
-    if (fanning) (void)fan->fork();
-    std::size_t lane_idx = 0;
+    // Group target ranks by bucket (the one whose prefix range holds them).
+    std::map<std::size_t, std::vector<Target>> by_bucket;
+    for (const Target& t : targets) {
+        const auto ub = static_cast<std::size_t>(
+            std::upper_bound(prefix.begin() + 1, prefix.end(), t.rank) - (prefix.begin() + 1));
+        by_bucket[ub].push_back({t.rank - prefix[ub], t.out_slot});
+    }
 
-    for (auto& [bucket, sub] : by_bucket) {
-        const auto ub = static_cast<std::size_t>(bucket);
+    // Equality buckets answer at once; small buckets become segments of the
+    // leaf gather (their targets re-ranked into it); the rest recurse.
+    const std::size_t leaf_cap = std::min(cfg.base_case_size, bitonic::kMaxSortSize);
+    std::vector<std::int32_t> seg_base(b, -1);
+    std::vector<bitonic::Segment> segments;
+    std::vector<Target> leaf_targets;
+    std::vector<std::pair<std::size_t, std::vector<Target>>> deep;
+    std::size_t gathered = 0;
+    for (auto& [ub, sub] : by_bucket) {
         if (lv.tree.equality[ub]) {
-            const T v = lv.equality_value(bucket);
+            const T v = lv.equality_value(static_cast<std::int32_t>(ub));
             for (const Target& t : sub) res.values[t.out_slot] = v;
             continue;
         }
+        const auto bucket_size = static_cast<std::size_t>(totals[ub]);
+        if (bucket_size > leaf_cap) {
+            deep.emplace_back(ub, std::move(sub));
+            continue;
+        }
+        seg_base[ub] = static_cast<std::int32_t>(gathered);
+        segments.push_back({gathered, bucket_size});
+        for (const Target& t : sub) leaf_targets.push_back({gathered + t.rank, t.out_slot});
+        gathered += bucket_size;
+    }
+
+    // Fan the recursing subtrees over the stream lanes once the level really
+    // split them; the host still descends depth-first, so the launch order
+    // is unchanged -- only the stream tags differ.
+    const bool fanning = fan != nullptr && fan->count() > 1 && deep.size() > 1;
+    if (fanning) (void)fan->fork();
+
+    if (!segments.empty()) {
+        res.max_depth = std::max(res.max_depth, depth + 1);
+        DataHolder<T> gather;
+        Status s = with_fault_retry(ctx, [&] {
+            gather = DataHolder<T>::acquire(ctx, gathered);
+            sort_leaf_buckets<T>(ctx, buf.span(), lv, seg_base, segments, gather.span(), origin);
+        });
+        if (!s.ok()) return s;
+        for (const Target& t : leaf_targets) res.values[t.out_slot] = gather.span()[t.rank];
+    }
+
+    std::size_t lane_idx = 0;
+    for (auto& [ub, sub] : deep) {
         const auto bucket_size = static_cast<std::size_t>(totals[ub]);
         std::size_t child_stalls = 0;
         if (bucket_size == n) {
@@ -126,7 +186,8 @@ Status solve(const PipelineContext& ctx, DataHolder<T> buf, std::vector<Target> 
         DataHolder<T> child;
         Status s = with_fault_retry(child_ctx, [&] {
             child = DataHolder<T>::acquire(child_ctx, bucket_size);
-            filter_bucket<T>(child_ctx, buf.span(), lv, bucket, child.span(), origin);
+            filter_bucket<T>(child_ctx, buf.span(), lv, static_cast<std::int32_t>(ub),
+                             child.span(), origin);
         });
         if (!s.ok()) return s;
         s = solve(child_ctx, std::move(child), std::move(sub), depth + 1, child_stalls, res,

@@ -2,12 +2,13 @@
 // Multi-rank selection (the "multiple sequence selection" extension the
 // paper names as future work in Sec. VI): select several order statistics
 // k_1 < ... < k_m in one recursion tree.  One bucketing level serves all
-// target ranks; the recursion then descends into *every* bucket containing
-// at least one target, so the count/filter work over the full input is
-// shared between all ranks instead of repeated m times.
+// target ranks, so the count work over the full input is shared between
+// all ranks instead of repeated m times.  Every target bucket small enough
+// for one bitonic block is then answered by ONE multi-bucket scatter and
+// ONE batched sort per level; only the larger buckets recurse.
 //
-// After the first partition level the per-bucket subtrees are independent
-// sub-problems: they are fanned over a StreamFan of leased streams
+// The recursing subtrees are independent sub-problems: they are fanned
+// over a StreamFan of leased streams
 // (core/batch_executor.hpp), so their kernel timelines overlap in
 // simulated time.  The host still recurses depth-first, so the launch
 // sequence (names, grids, origins, counters) is byte-identical to the

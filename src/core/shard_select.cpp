@@ -149,7 +149,10 @@ void prepare_env(ShardEnv<T>& env, std::span<const T> input, const ShardPlan& pl
 
 /// Phase A: every shard contributes s_j exact order statistics at regular
 /// rank strides (a deterministic regular sample, not a random one) via a
-/// multi-rank selection on its own device and stream.
+/// multi-rank selection on its own device and stream.  The multi-select
+/// runs with global atomics: its leaf gather then needs no grid x buckets
+/// per-block offset matrix beside the gather buffer, which keeps the
+/// per-shard auxiliary peak below the shared-atomic hierarchy's.
 template <typename T>
 Status phase_candidates(ShardEnv<T>& env, std::vector<std::vector<T>>& cand) {
     cand.resize(env.chunks.size());
@@ -170,6 +173,7 @@ Status phase_candidates(ShardEnv<T>& env, std::vector<std::vector<T>>& cand) {
         const int d = env.shard_dev[j];
         SampleSelectConfig cfgA = env.sel;
         cfgA.stream = env.stream[static_cast<std::size_t>(d)];
+        cfgA.atomic_space = simt::AtomicSpace::global;
         cfgA.seed = env.sel.seed + (static_cast<std::uint64_t>(j) + 1) * kShardSeedStep;
         auto r = try_multi_select<T>(env.group.device(d), std::span<const T>(chunk), ranks, cfgA);
         if (!r.ok()) return r.status();
@@ -336,8 +340,10 @@ struct CountOutcome {
 
 /// Phase B1: out-of-core count.  Every shard is re-staged, counted against
 /// its device's copy of the merged tree, and released before the next shard
-/// touches the device; per-shard int32 counts travel to the root over the
-/// link and accumulate in int64 (the global n may exceed int32).
+/// touches the device.  Each device keeps its shards' int32 counts as rows
+/// of one small matrix, which a non-root device ships to the root in ONE
+/// link transfer; the counts accumulate in int64 (the global n may exceed
+/// int32).
 template <typename T>
 Status phase_count(ShardEnv<T>& env, const MergeState<T>& ms, std::size_t rank,
                    CountOutcome& out) {
@@ -349,62 +355,74 @@ Status phase_count(ShardEnv<T>& env, const MergeState<T>& ms, std::size_t rank,
     cfgB.num_buckets = ms.b_eff;
     simt::Device& rdev = env.group.device(0);
     const int rstream = env.stream[0];
-    std::optional<simt::PooledBuffer<std::int32_t>> landing;
+
+    // Row of every shard in its device's counts matrix.
+    const auto devices = static_cast<std::size_t>(env.devices_used);
+    std::vector<std::size_t> row(shards, 0);
+    std::vector<std::size_t> rows(devices, 0);
+    for (std::size_t j = 0; j < shards; ++j) {
+        if (!env.chunks[j].empty()) row[j] = rows[static_cast<std::size_t>(env.shard_dev[j])]++;
+    }
+    std::vector<std::optional<simt::PooledBuffer<std::int32_t>>> counts(devices);
 
     for (std::size_t j = 0; j < shards; ++j) {
         const auto& chunk = env.chunks[j];
         const std::size_t nj = chunk.size();
         if (nj == 0) continue;
         const int d = env.shard_dev[j];
+        const auto ud = static_cast<std::size_t>(d);
         simt::Device& dev = env.group.device(d);
-        const int sd = env.stream[static_cast<std::size_t>(d)];
+        const int sd = env.stream[ud];
         cfgB.stream = sd;
         PipelineContext ctx(dev, cfgB, sd);
-        std::optional<simt::PooledBuffer<std::int32_t>> totals_keep;
-        std::vector<std::int32_t> host_totals(b, 0);
         Status st = with_fault_retry(ctx, [&] {
-            totals_keep.reset();
+            if (!counts[ud]) counts[ud].emplace(ctx.scratch<std::int32_t>(rows[ud] * b));
             auto staged = DataHolder<T>::stage(ctx, chunk);
             const PipelinePlan pl = PipelinePlan::make(dev, nj, cfgB, false);
-            auto totals = ctx.scratch<std::int32_t>(b);
+            const auto totals = counts[ud]->span().subspan(row[j] * b, b);
             std::optional<simt::PooledBuffer<std::int32_t>> bc;
             std::span<std::int32_t> bcs{};
             if (pl.shared_mode) {
                 bc.emplace(ctx.scratch<std::int32_t>(pl.block_counts_len()));
                 bcs = bc->span();
             } else {
-                launch_memset32(dev, totals.span(), simt::LaunchOrigin::host, sd);
+                launch_memset32(dev, totals, simt::LaunchOrigin::host, sd);
             }
             const int grid =
                 count_kernel<T>(dev, std::span<const T>(staged.span()),
-                                ms.device_tree[static_cast<std::size_t>(d)], {}, totals.span(),
-                                bcs, cfgB, simt::LaunchOrigin::host, sd);
+                                ms.device_tree[ud], {}, totals, bcs, cfgB,
+                                simt::LaunchOrigin::host, sd);
             if (pl.shared_mode) {
-                reduce_kernel(dev, bcs, grid, ms.b_eff, totals.span(), false,
-                              simt::LaunchOrigin::host, cfgB.block_dim, sd);
+                reduce_kernel(dev, bcs, grid, ms.b_eff, totals, false, simt::LaunchOrigin::host,
+                              cfgB.block_dim, sd);
             }
-            std::copy(totals.span().begin(), totals.span().end(), host_totals.begin());
-            totals_keep.emplace(std::move(totals));
         });
         if (!st.ok()) return st;
         env.sample_peaks();
+        const auto totals = counts[ud]->span().subspan(row[j] * b, b);
         for (std::size_t i = 0; i < b; ++i) {
-            out.shard_totals[j][i] = host_totals[i];
-            out.totals[i] += host_totals[i];
+            out.shard_totals[j][i] = totals[i];
+            out.totals[i] += totals[i];
         }
-        if (d != 0) {
-            // The counts travel to the root like any other payload, so the
-            // merge's link cost is modeled even though the values are
-            // already host-visible.
-            if (!landing) landing.emplace(rdev.pooled<std::int32_t>(b, rstream));
-            const auto rec = env.group.template transfer<std::int32_t>(
-                d, std::span<const std::int32_t>(totals_keep->span()), 0, 0, landing->span(), 0,
-                b, sd);
-            rdev.wait_event(rstream, rec.ready_ns);
-            dev.wait_event(sd, rec.src_done_ns);
-        }
-        totals_keep.reset();
     }
+    // The counts travel to the root like any other payload, so the merge's
+    // link cost is modeled even though the values are already host-visible.
+    std::optional<simt::PooledBuffer<std::int32_t>> landing;
+    for (std::size_t d = 1; d < devices; ++d) {
+        if (!counts[d]) continue;
+        const std::size_t len = rows[d] * b;
+        landing.reset();
+        landing.emplace(rdev.pooled<std::int32_t>(len, rstream));
+        const int sd = env.stream[d];
+        const auto rec = env.group.template transfer<std::int32_t>(
+            static_cast<int>(d), std::span<const std::int32_t>(counts[d]->span()), 0, 0,
+            landing->span(), 0, len, sd);
+        rdev.wait_event(rstream, rec.ready_ns);
+        env.group.device(static_cast<int>(d)).wait_event(sd, rec.src_done_ns);
+        counts[d].reset();
+    }
+    counts.clear();
+    env.sample_peaks();
 
     out.prefix.assign(b + 1, 0);
     for (std::size_t i = 0; i < b; ++i) out.prefix[i + 1] = out.prefix[i] + out.totals[i];
@@ -445,10 +463,12 @@ Status phase_count(ShardEnv<T>& env, const MergeState<T>& ms, std::size_t rank,
     return Status::success();
 }
 
-/// Phase B2: out-of-core filter.  Re-stages each shard, extracts its slice
-/// of the located global bucket, and gathers the fragments into one merged
-/// buffer on the root device (transfer-ordered; same-device fragments move
-/// with a plain device copy so no phantom link bytes are charged).
+/// Phase B2: out-of-core filter.  Re-stages each shard and extracts its
+/// slice of the located global bucket.  Root-device shards filter straight
+/// into the merged buffer; every other device collects its shards' slices
+/// in one fragment buffer and ships it to the root in ONE transfer
+/// (transfer-ordered).  The merged buffer holds the devices' blocks in
+/// device order, each in shard order.
 template <typename T>
 Status phase_filter_merge(ShardEnv<T>& env, const MergeState<T>& ms, const CountOutcome& co,
                           std::optional<simt::PooledBuffer<T>>& merged) {
@@ -456,22 +476,41 @@ Status phase_filter_merge(ShardEnv<T>& env, const MergeState<T>& ms, const Count
     cfgB.num_buckets = ms.b_eff;
     simt::Device& rdev = env.group.device(0);
     const int rstream = env.stream[0];
-    merged.emplace(rdev.pooled<T>(co.bucket_size, rstream));
-    std::size_t off = 0;
+    const auto devices = static_cast<std::size_t>(env.devices_used);
+    const auto bucket = static_cast<std::size_t>(co.bucket);
+
+    // Each device's block in the merged buffer and each shard's slot in it.
+    std::vector<std::size_t> dev_len(devices, 0);
+    std::vector<std::size_t> slot(env.chunks.size(), 0);
     for (std::size_t j = 0; j < env.chunks.size(); ++j) {
-        const auto fj = static_cast<std::size_t>(
-            co.shard_totals[j][static_cast<std::size_t>(co.bucket)]);
+        const auto ud = static_cast<std::size_t>(env.shard_dev[j]);
+        slot[j] = dev_len[ud];
+        dev_len[ud] += static_cast<std::size_t>(co.shard_totals[j][bucket]);
+    }
+    std::vector<std::size_t> dev_base(devices, 0);
+    for (std::size_t d = 1; d < devices; ++d) dev_base[d] = dev_base[d - 1] + dev_len[d - 1];
+    if (dev_base[devices - 1] + dev_len[devices - 1] != co.bucket_size) {
+        return Status::failure(SelectError::internal,
+                               "sharded filter gathered a mis-sized bucket");
+    }
+    merged.emplace(rdev.pooled<T>(co.bucket_size, rstream));
+    std::vector<std::optional<simt::PooledBuffer<T>>> frags(devices);
+
+    for (std::size_t j = 0; j < env.chunks.size(); ++j) {
+        const auto fj = static_cast<std::size_t>(co.shard_totals[j][bucket]);
         if (fj == 0) continue;
         const auto& chunk = env.chunks[j];
         const std::size_t nj = chunk.size();
         const int d = env.shard_dev[j];
+        const auto ud = static_cast<std::size_t>(d);
         simt::Device& dev = env.group.device(d);
-        const int sd = env.stream[static_cast<std::size_t>(d)];
+        const int sd = env.stream[ud];
         cfgB.stream = sd;
         PipelineContext ctx(dev, cfgB, sd);
-        std::optional<simt::PooledBuffer<T>> frag_keep;
         Status st = with_fault_retry(ctx, [&] {
-            frag_keep.reset();
+            if (d != 0 && !frags[ud]) frags[ud].emplace(dev.pooled<T>(dev_len[ud], sd));
+            const std::span<T> dst = d == 0 ? merged->span().subspan(slot[j], fj)
+                                            : frags[ud]->span().subspan(slot[j], fj);
             auto staged = DataHolder<T>::stage(ctx, chunk);
             const PipelinePlan pl = PipelinePlan::make(dev, nj, cfgB, true);
             auto oracles = ctx.scratch<std::uint8_t>(nj);
@@ -485,9 +524,9 @@ Status phase_filter_merge(ShardEnv<T>& env, const MergeState<T>& ms, const Count
                 launch_memset32(dev, totals.span(), simt::LaunchOrigin::host, sd);
             }
             const int grid =
-                count_kernel<T>(dev, std::span<const T>(staged.span()),
-                                ms.device_tree[static_cast<std::size_t>(d)], oracles.span(),
-                                totals.span(), bcs, cfgB, simt::LaunchOrigin::host, sd);
+                count_kernel<T>(dev, std::span<const T>(staged.span()), ms.device_tree[ud],
+                                oracles.span(), totals.span(), bcs, cfgB,
+                                simt::LaunchOrigin::host, sd);
             std::optional<simt::PooledBuffer<std::int32_t>> gctr;
             if (pl.shared_mode) {
                 reduce_kernel(dev, bcs, grid, ms.b_eff, totals.span(), true,
@@ -495,30 +534,22 @@ Status phase_filter_merge(ShardEnv<T>& env, const MergeState<T>& ms, const Count
             } else {
                 gctr.emplace(ctx.zeroed_i32(1, simt::LaunchOrigin::host));
             }
-            auto frag = dev.pooled<T>(fj, sd);
             filter_kernel<T>(dev, std::span<const T>(staged.span()), oracles.span(), co.bucket,
-                             frag.span(), bcs, ms.b_eff,
-                             gctr ? gctr->span() : std::span<std::int32_t>{}, cfgB,
-                             simt::LaunchOrigin::host, grid, sd);
-            frag_keep.emplace(std::move(frag));
+                             dst, bcs, ms.b_eff, gctr ? gctr->span() : std::span<std::int32_t>{},
+                             cfgB, simt::LaunchOrigin::host, grid, sd);
         });
         if (!st.ok()) return st;
         env.sample_peaks();
-        if (d == 0) {
-            launch_copy<T>(rdev, std::span<const T>(frag_keep->span()), 0, merged->span(), off,
-                           fj, simt::LaunchOrigin::host, env.sel.block_dim, rstream);
-        } else {
-            const auto rec = env.group.template transfer<T>(d, std::span<const T>(frag_keep->span()), 0, 0,
-                                                   merged->span(), off, fj, sd);
-            rdev.wait_event(rstream, rec.ready_ns);
-            dev.wait_event(sd, rec.src_done_ns);
-        }
-        frag_keep.reset();
-        off += fj;
     }
-    if (off != co.bucket_size) {
-        return Status::failure(SelectError::internal,
-                               "sharded filter gathered a mis-sized bucket");
+    for (std::size_t d = 1; d < devices; ++d) {
+        if (!frags[d]) continue;
+        const int sd = env.stream[d];
+        const auto rec = env.group.template transfer<T>(
+            static_cast<int>(d), std::span<const T>(frags[d]->span()), 0, 0, merged->span(),
+            dev_base[d], dev_len[d], sd);
+        rdev.wait_event(rstream, rec.ready_ns);
+        env.group.device(static_cast<int>(d)).wait_event(sd, rec.src_done_ns);
+        frags[d].reset();
     }
     return Status::success();
 }

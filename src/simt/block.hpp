@@ -68,9 +68,11 @@ public:
     /// Scattered gather: regs[l] = src[idx[l]].
     template <typename T>
     void gather(std::span<const T> src, const std::size_t* idx, T* regs) const;
-    /// Scattered scatter: dst[idx[l]] = regs[l].
+    /// Scattered scatter: dst[idx[l]] = regs[l] for every lane with
+    /// active[l] (all lanes when `active` is null).
     template <typename T>
-    void scatter(std::span<T> dst, const std::size_t* idx, const T* regs) const;
+    void scatter(std::span<T> dst, const std::size_t* idx, const T* regs,
+                 const bool* active = nullptr) const;
     /// Compacted store: lanes with pred[l] write regs[l] to consecutive
     /// slots dst[pos], dst[pos+1], ... in lane order starting at `pos`.
     /// Counts as coalesced traffic (consecutive addresses within the warp).
@@ -587,9 +589,12 @@ void WarpCtx::gather(std::span<const T> src, const std::size_t* idx, T* regs) co
 }
 
 template <typename T>
-void WarpCtx::scatter(std::span<T> dst, const std::size_t* idx, const T* regs) const {
+void WarpCtx::scatter(std::span<T> dst, const std::size_t* idx, const T* regs,
+                      const bool* active) const {
+    const auto on = [active](int l) { return active == nullptr || active[l]; };
     if (Sanitizer* san = blk_->san_; san != nullptr) {
         for (int l = 0; l < lanes_; ++l) {
+            if (!on(l)) continue;
             if (idx[l] >= dst.size()) {
                 san->oob(ViolationKind::global_oob, "scatter", idx[l], dst.size(),
                          blk_->block_idx_);
@@ -597,15 +602,26 @@ void WarpCtx::scatter(std::span<T> dst, const std::size_t* idx, const T* regs) c
             san->global_write(dst.data() + idx[l], sizeof(T), blk_->block_idx_, "scatter");
         }
     }
-    if (StreamSan* ssan = blk_->ssan_; ssan != nullptr && lanes_ > 0) {
-        const auto [lo, hi] = std::minmax_element(idx, idx + lanes_);
-        if (*hi < dst.size()) {
-            blk_->ssan_note_elem(dst.data(), dst.size() * sizeof(T), dst.data() + *lo,
-                                 (*hi - *lo + 1) * sizeof(T), /*write=*/true);
+    if (StreamSan* ssan = blk_->ssan_; ssan != nullptr) {
+        std::size_t lo = dst.size();
+        std::size_t hi = 0;
+        for (int l = 0; l < lanes_; ++l) {
+            if (!on(l)) continue;
+            lo = std::min(lo, idx[l]);
+            hi = std::max(hi, idx[l]);
+        }
+        if (lo <= hi && hi < dst.size()) {
+            blk_->ssan_note_elem(dst.data(), dst.size() * sizeof(T), dst.data() + lo,
+                                 (hi - lo + 1) * sizeof(T), /*write=*/true);
         }
     }
-    for (int l = 0; l < lanes_; ++l) dst[idx[l]] = regs[l];
-    blk_->counters_.scattered_bytes_written += static_cast<std::uint64_t>(lanes_) * sizeof(T);
+    std::uint64_t written = 0;
+    for (int l = 0; l < lanes_; ++l) {
+        if (!on(l)) continue;
+        dst[idx[l]] = regs[l];
+        ++written;
+    }
+    blk_->counters_.scattered_bytes_written += written * sizeof(T);
 }
 
 template <typename T>

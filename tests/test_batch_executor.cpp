@@ -375,7 +375,11 @@ TEST(BatchExecutor, MultiSelectFanMatchesSerialAndNeverSlower) {
     std::vector<std::size_t> ranks;
     for (std::size_t i = 0; i < 8; ++i) ranks.push_back(input.size() / 9 * (i + 1));
 
+    // Small target buckets are answered by the level's leaf batch on the
+    // base stream; a small leaf cap makes every target bucket recurse, so
+    // the subtrees still fan out over the lanes.
     core::SampleSelectConfig cfg;
+    cfg.base_case_size = 256;
     core::MultiSelectResult<float> serial;
     {
         StreamsEnv env("1");
@@ -395,6 +399,7 @@ TEST(BatchExecutor, MultiSelectFanMatchesSerialAndNeverSlower) {
     EXPECT_EQ(fanned.values, serial.values);
     EXPECT_EQ(fanned.launches, serial.launches);
     EXPECT_LE(fanned.sim_ns, serial.sim_ns + 1e-6);
+    EXPECT_LT(fanned.sim_ns, serial.sim_ns) << "the recursing subtrees never overlapped";
 }
 
 // Seeded fault soak over multi-stream batches (docs/robustness.md): every

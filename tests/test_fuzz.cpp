@@ -5,14 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "baselines/bucketselect.hpp"
 #include "baselines/quickselect.hpp"
 #include "baselines/radixselect.hpp"
+#include "core/float_order.hpp"
+#include "core/multiselect.hpp"
 #include "core/sample_select.hpp"
+#include "core/shard_select.hpp"
 #include "core/topk.hpp"
 #include "data/distributions.hpp"
 #include "data/rng.hpp"
 #include "result_util.hpp"
+#include "simt/topology.hpp"
 #include "stats/order_stats.hpp"
 
 namespace {
@@ -107,6 +115,80 @@ TEST_P(Fuzz, K20PresetAgreesToo) {
     simt::Device dev(simt::preset("K20Xm"));
     const auto r = must(core::try_sample_select<float>(dev, c.data, c.rank, c.cfg));
     EXPECT_EQ(stats::rank_error<float>(c.data, r.value, c.rank), 0u) << c.description;
+}
+
+/// Sprinkles NaN keys into about half of the cases and picks a NaN policy;
+/// returns true when the case holds NaNs.
+bool add_nans(FuzzCase& c, data::Xoshiro256& rng) {
+    c.cfg.nan_policy = rng.bounded(2) == 0 ? core::NanPolicy::reject
+                                           : core::NanPolicy::propagate_largest;
+    if (rng.bounded(2) != 0) return false;
+    for (std::size_t i = rng.bounded(7); i < c.data.size(); i += 1 + rng.bounded(64)) {
+        c.data[i] = std::numeric_limits<float>::quiet_NaN();
+    }
+    return true;
+}
+
+/// The library's total order (NaNs above +inf), fully sorted.
+std::vector<float> total_order(std::vector<float> v) {
+    std::sort(v.begin(), v.end(), [](float a, float b) { return core::total_less(a, b); });
+    return v;
+}
+
+void expect_same_key(float got, float want, const std::string& what) {
+    if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(got)) << what;
+    } else {
+        EXPECT_EQ(got, want) << what;
+    }
+}
+
+TEST_P(Fuzz, MultiSelectAgreesWithReference) {
+    auto c = make_case(GetParam() + 5000);
+    data::Xoshiro256 rng(GetParam() * 0x2545f4914f6cdd1dULL + 5);
+    const bool nans = add_nans(c, rng);
+    // Random rank sets, unsorted and with repeated ranks.
+    std::vector<std::size_t> ranks;
+    const std::size_t m = 1 + rng.bounded(48);
+    for (std::size_t i = 0; i < m; ++i) {
+        ranks.push_back(i > 0 && rng.bounded(4) == 0 ? ranks[rng.bounded(i)]
+                                                     : rng.bounded(c.data.size()));
+    }
+    simt::Device dev(simt::arch_v100());
+    const auto r = core::try_multi_select<float>(dev, c.data, ranks, c.cfg);
+    if (nans && c.cfg.nan_policy == core::NanPolicy::reject) {
+        EXPECT_EQ(r.error(), core::SelectError::nan_keys_rejected) << c.description;
+        return;
+    }
+    const auto res = must(r);
+    const auto sorted = total_order(c.data);
+    ASSERT_EQ(res.values.size(), ranks.size());
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+        expect_same_key(res.values[i], sorted[ranks[i]],
+                        c.description + " rank=" + std::to_string(ranks[i]));
+    }
+}
+
+TEST_P(Fuzz, ShardedSelectAgreesWithReference) {
+    auto c = make_case(GetParam() + 6000);
+    data::Xoshiro256 rng(GetParam() * 0x9e3779b97f4a7c15ULL + 11);
+    const bool nans = add_nans(c, rng);
+    // 16 KiB modeled capacity -> 1024 floats per shard: most cases shard.
+    simt::TopologySpec spec;
+    spec.num_devices = 1 + static_cast<int>(rng.bounded(3));
+    spec.arch = simt::arch_v100();
+    spec.mem_capacity_bytes = 16 * 1024;
+    simt::DeviceGroup group(spec);
+    core::ShardSelectConfig scfg;
+    scfg.select = c.cfg;
+    const auto r = core::try_sharded_select<float>(group, c.data, c.rank, scfg);
+    if (nans && c.cfg.nan_policy == core::NanPolicy::reject) {
+        EXPECT_EQ(r.error(), core::SelectError::nan_keys_rejected) << c.description;
+        return;
+    }
+    const auto res = must(r);
+    expect_same_key(res.value, total_order(c.data)[c.rank],
+                    c.description + " rank=" + std::to_string(c.rank));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz, ::testing::Range<std::uint64_t>(0, 24));

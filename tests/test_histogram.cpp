@@ -94,7 +94,7 @@ TEST(EquiDepthHistogram, CdfMonotoneAndBounded) {
     EXPECT_GT(h.cdf(10.0f), 0.98);
 }
 
-TEST(EquiDepthHistogram, EmptyThrows) {
+TEST(EquiDepthHistogram, EmptyFails) {
     simt::Device dev(simt::arch_v100());
     EXPECT_EQ(core::try_equi_depth_histogram<float>(dev, {}, hcfg(64)).error(),
               core::SelectError::empty_input);

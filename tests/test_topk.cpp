@@ -112,14 +112,14 @@ TEST(TopKSmallest, WithDuplicatesAndNegatives) {
     EXPECT_EQ(res.threshold, -3.0);
 }
 
-TEST(TopKSmallest, InvalidKThrows) {
+TEST(TopKSmallest, InvalidKFails) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data{1, 2, 3};
     EXPECT_EQ(core::try_topk_smallest<float>(dev, data, 0, {}).error(),
               core::SelectError::rank_out_of_range);
 }
 
-TEST(TopK, InvalidKThrows) {
+TEST(TopK, InvalidKFails) {
     simt::Device dev(simt::arch_v100());
     const std::vector<float> data{1, 2, 3};
     EXPECT_EQ(core::try_topk_largest<float>(dev, data, 0, {}).error(),

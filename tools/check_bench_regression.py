@@ -99,23 +99,36 @@ def planner_coverage(doc):
 # (bench_simulator_overhead exports link_bytes_per_iter per run).  Unlike
 # the planner step this one FAILS when absent -- the sharded lane only
 # means something if the benchmark actually ran and moved bytes over the
-# modeled links.
+# modeled links.  Against a baseline it also FAILS when a run's modeled
+# launch count (launches_per_iter) exceeds LAUNCH_BLOWUP x the baseline
+# run's: the candidate step once issued a filter and a sort per target
+# bucket (~4,200 launches per select), and a launch blow-up of that kind
+# barely moves host items/s on a fast machine.
 SHARD_FAMILY = "BM_ShardedSelect"
 LINK_COUNTER_SUBSTR = "link_bytes"
+LAUNCH_COUNTER = "launches_per_iter"
+LAUNCH_BLOWUP = 2.0
 
 
-def shard_coverage(doc):
+def shard_runs(doc):
+    return [b for b in doc.get("benchmarks", [])
+            if b.get("run_type") != "aggregate"
+            and family_of(b.get("name", "")) == SHARD_FAMILY]
+
+
+def shard_coverage(doc, baseline_doc=None):
     """Returns the list of problems for the shard-coverage step.
 
     Empty list == pass.  Problems: the BM_ShardedSelect family is missing
-    from the run, or no benchmark in the family carries a positive
-    link-byte counter (any counter whose name contains 'link_bytes').
+    from the run, no benchmark in the family carries a positive link-byte
+    counter (any counter whose name contains 'link_bytes'), or -- given a
+    baseline -- a run's launches_per_iter exceeds LAUNCH_BLOWUP x the
+    same-named baseline run's.
     """
-    family_runs = [b for b in doc.get("benchmarks", [])
-                   if b.get("run_type") != "aggregate"
-                   and family_of(b.get("name", "")) == SHARD_FAMILY]
+    family_runs = shard_runs(doc)
     if not family_runs:
         return [f"benchmark family {SHARD_FAMILY} absent from the run"]
+    problems = []
     link_bytes = 0.0
     seen_counter = False
     for b in family_runs:
@@ -127,12 +140,20 @@ def shard_coverage(doc):
                 except (TypeError, ValueError):
                     pass
     if not seen_counter:
-        return [f"no link-byte counter ('{LINK_COUNTER_SUBSTR}') on any "
-                f"{SHARD_FAMILY} run"]
-    if link_bytes <= 0:
-        return [f"{SHARD_FAMILY} ran but reported zero link bytes -- "
-                "multi-device transfers never happened"]
-    return []
+        problems.append(f"no link-byte counter ('{LINK_COUNTER_SUBSTR}') on any "
+                        f"{SHARD_FAMILY} run")
+    elif link_bytes <= 0:
+        problems.append(f"{SHARD_FAMILY} ran but reported zero link bytes -- "
+                        "multi-device transfers never happened")
+    if baseline_doc is not None:
+        seed = {b.get("name"): b for b in shard_runs(baseline_doc)}
+        for b in family_runs:
+            base = seed.get(b.get("name"), {}).get(LAUNCH_COUNTER)
+            cur = b.get(LAUNCH_COUNTER)
+            if base and cur is not None and float(cur) > LAUNCH_BLOWUP * float(base):
+                problems.append(f"{b['name']} issues {float(cur):.0f} launches/iter, over "
+                                f"{LAUNCH_BLOWUP:g}x its baseline {float(base):.0f}")
+    return problems
 
 
 def load_server_points(path):
@@ -250,6 +271,8 @@ def run_gate(baseline_path, current_path, tolerance, summary_out,
         current = load_benchmarks(current_path)
         with open(current_path) as f:
             current_doc = json.load(f)
+        with open(baseline_path) as f:
+            baseline_doc = json.load(f)
     except (OSError, json.JSONDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
@@ -275,12 +298,13 @@ def run_gate(baseline_path, current_path, tolerance, summary_out,
     else:
         print("planner coverage skipped: no backend_* counters in this run")
 
-    shard_problems = shard_coverage(current_doc)
+    shard_problems = shard_coverage(current_doc, baseline_doc)
     if shard_problems:
         print(f"FAIL: shard coverage: {'; '.join(shard_problems)}",
               file=sys.stderr)
     else:
-        print(f"shard coverage OK: {SHARD_FAMILY} ran with nonzero link bytes")
+        print(f"shard coverage OK: {SHARD_FAMILY} ran with nonzero link bytes "
+              f"and at most {LAUNCH_BLOWUP:g}x its baseline launches")
 
     slo_failures = []
     if server_current_path and os.path.exists(server_current_path):
@@ -392,6 +416,33 @@ def self_test(baseline_path, tolerance):
         print("self-test FAIL: stripped link-byte counter did not trip coverage",
               file=sys.stderr)
         return REGRESSION
+    # Launch blow-up: the baseline against itself passes; a run whose
+    # sharded launches grew past LAUNCH_BLOWUP x trips, one just inside
+    # does not.
+    if shard_coverage(doc, doc):
+        print("self-test FAIL: identical sharded launches tripped coverage",
+              file=sys.stderr)
+        return REGRESSION
+
+    def scaled_launches(scale):
+        d = copy.deepcopy(doc)
+        for b in shard_runs(d):
+            if LAUNCH_COUNTER in b:
+                b[LAUNCH_COUNTER] *= scale
+        return d
+
+    if not any(LAUNCH_COUNTER in b for b in shard_runs(doc)):
+        print(f"self-test FAIL: baseline {SHARD_FAMILY} runs carry no {LAUNCH_COUNTER}",
+              file=sys.stderr)
+        return REGRESSION
+    if not shard_coverage(scaled_launches(LAUNCH_BLOWUP + 0.5), doc):
+        print("self-test FAIL: sharded launch blow-up did not trip coverage",
+              file=sys.stderr)
+        return REGRESSION
+    if shard_coverage(scaled_launches(LAUNCH_BLOWUP - 0.1), doc):
+        print("self-test FAIL: sharded launches inside the bound tripped coverage",
+              file=sys.stderr)
+        return REGRESSION
     # Latency-SLO step, against a synthetic sweep (no files needed): an
     # identical sweep passes, a p99 inflation past the tolerance trips,
     # shedding at the nominal point trips, shedding under overload at a
@@ -420,7 +471,7 @@ def self_test(baseline_path, tolerance):
         print("self-test FAIL: nominal shed did not trip the SLO gate", file=sys.stderr)
         return REGRESSION
     print(f"self-test OK: gate trips at -{tolerance:.0%} and passes inside it; "
-          "shard coverage trips on a missing family or link counter; "
+          "shard coverage trips on a missing family, link counter or launch blow-up; "
           "SLO gate trips on p99 inflation and nominal shed")
     return PASS
 
