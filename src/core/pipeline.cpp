@@ -41,13 +41,6 @@ T LevelOutcome<T>::equality_value(std::int32_t b) const {
     return tree.splitters[ub - 1];
 }
 
-namespace {
-
-/// The count -> (reduce) -> select-bucket tail of a level, shared by the
-/// sampled level (b = cfg.num_buckets splitters) and the deterministic
-/// fallback level (a 4-bucket tripartition tree).  Buffer lengths follow
-/// the *tree's* bucket count -- identical to cfg.num_buckets on the
-/// sampled path, so its event stream and pool traffic are unchanged.
 template <typename T>
 LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data,
                              std::size_t rank, simt::LaunchOrigin origin, SearchTree<T> tree,
@@ -95,6 +88,8 @@ LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data
     return lv;
 }
 
+namespace {
+
 /// Deterministic pivot for the guaranteed-progress fallback: the median of
 /// 9 elements at fixed strided positions, fetched by a tiny single-block
 /// kernel (charged like the sampler's gather, Sec. IV-D pivot selection).
@@ -132,74 +127,37 @@ T deterministic_pivot(simt::Device& dev, std::span<const T> data, const SampleSe
 }  // namespace
 
 template <typename T>
-LevelOutcome<T> run_bucket_level(const PipelineContext& ctx, std::span<const T> data,
-                                 std::size_t rank, simt::LaunchOrigin origin, std::uint64_t salt,
-                                 const LevelOptions& opt) {
-    auto tree = sample_splitters<T>(ctx.dev(), data, ctx.cfg(), origin, salt, ctx.stream());
-    return finish_level<T>(ctx, data, rank, origin, std::move(tree), opt);
-}
-
-template <typename T>
-LevelOutcome<T> run_pivot_level(const PipelineContext& ctx, std::span<const T> data,
-                                std::size_t rank, simt::LaunchOrigin origin,
-                                const LevelOptions& opt) {
-    const T p = deterministic_pivot<T>(ctx.dev(), data, ctx.cfg(), origin, ctx.stream());
-    // Three equal splitters -> 4 buckets: {< p} split in two, the equality
-    // bucket {== p} (non-empty: the pivot came from the data), and {> p}.
-    auto tree = SearchTree<T>::build({p, p, p});
-    return finish_level<T>(ctx, data, rank, origin, std::move(tree), opt);
-}
-
-namespace {
-
-/// Shared retry loop of the try_ level executors.  `attempt_salt(a)` gives
-/// the sample salt for attempt `a` (0-based); attempt 0 must be the
-/// caller's salt so fault-free runs are byte-identical.
-template <typename T, typename RunFn>
-Result<LevelOutcome<T>> retry_level(const PipelineContext& ctx, RunFn&& run) {
-    for (int attempt = 0;; ++attempt) {
-        try {
-            return run(attempt);
-        } catch (const simt::SanError& e) {
-            // SimTSan violations are kernel bugs: a rerun would trip the
-            // same contract again, so surface the typed error immediately.
-            return Status::failure(SelectError::sanitizer_violation, e.what());
-        } catch (const simt::AllocFault& e) {
-            if (attempt + 1 >= kFaultRetryAttempts) {
-                return Status::failure(SelectError::allocation_failed, e.what());
-            }
-            ctx.dev().pool().trim();
-            ++ctx.dev().robustness().alloc_retries;
-        } catch (const simt::LaunchFault& e) {
-            if (attempt + 1 >= kFaultRetryAttempts) {
-                return Status::failure(SelectError::launch_failed, e.what());
-            }
-            ++ctx.dev().robustness().launch_retries;
-        }
-    }
-}
-
-}  // namespace
-
-template <typename T>
 Result<LevelOutcome<T>> try_run_bucket_level(const PipelineContext& ctx, std::span<const T> data,
                                              std::size_t rank, simt::LaunchOrigin origin,
                                              std::uint64_t salt, const LevelOptions& opt) {
-    return retry_level<T>(ctx, [&](int attempt) {
-        // Retries re-sample with a fresh salt: if the fault hit mid-level
+    LevelOutcome<T> lv;
+    std::uint64_t attempt = 0;
+    Status s = with_fault_retry(ctx, [&] {
+        // Retries re-sample with a fresh salt (attempt 0 keeps the caller's,
+        // so fault-free runs are byte-identical): if the fault hit mid-level
         // the partial work is discarded and the level reruns end to end.
-        const std::uint64_t attempt_salt =
-            salt + static_cast<std::uint64_t>(attempt) * std::uint64_t{0x9e3779b9};
-        return run_bucket_level<T>(ctx, data, rank, origin, attempt_salt, opt);
+        const std::uint64_t attempt_salt = salt + attempt++ * std::uint64_t{0x9e3779b9};
+        auto tree =
+            sample_splitters<T>(ctx.dev(), data, ctx.cfg(), origin, attempt_salt, ctx.stream());
+        lv = finish_level<T>(ctx, data, rank, origin, std::move(tree), opt);
     });
+    if (!s.ok()) return s;
+    return lv;
 }
 
 template <typename T>
 Result<LevelOutcome<T>> try_run_pivot_level(const PipelineContext& ctx, std::span<const T> data,
                                             std::size_t rank, simt::LaunchOrigin origin,
                                             const LevelOptions& opt) {
-    return retry_level<T>(
-        ctx, [&](int) { return run_pivot_level<T>(ctx, data, rank, origin, opt); });
+    LevelOutcome<T> lv;
+    Status s = with_fault_retry(ctx, [&] {
+        const T p = deterministic_pivot<T>(ctx.dev(), data, ctx.cfg(), origin, ctx.stream());
+        // Three equal splitters -> 4 buckets: {< p} split in two, the equality
+        // bucket {== p} (non-empty: the pivot came from the data), and {> p}.
+        lv = finish_level<T>(ctx, data, rank, origin, SearchTree<T>::build({p, p, p}), opt);
+    });
+    if (!s.ok()) return s;
+    return lv;
 }
 
 template <typename T>
@@ -255,21 +213,15 @@ void sort_base_case(const PipelineContext& ctx, std::span<T> data, simt::LaunchO
 }
 
 template struct LevelOutcome<float>;
+template LevelOutcome<float> finish_level<float>(const PipelineContext&,
+                                                 std::span<const float>, std::size_t,
+                                                 simt::LaunchOrigin, SearchTree<float>,
+                                                 const LevelOptions&);
 template struct LevelOutcome<double>;
-template LevelOutcome<float> run_bucket_level<float>(const PipelineContext&,
-                                                     std::span<const float>, std::size_t,
-                                                     simt::LaunchOrigin, std::uint64_t,
-                                                     const LevelOptions&);
-template LevelOutcome<double> run_bucket_level<double>(const PipelineContext&,
-                                                       std::span<const double>, std::size_t,
-                                                       simt::LaunchOrigin, std::uint64_t,
-                                                       const LevelOptions&);
-template LevelOutcome<float> run_pivot_level<float>(const PipelineContext&,
-                                                    std::span<const float>, std::size_t,
-                                                    simt::LaunchOrigin, const LevelOptions&);
-template LevelOutcome<double> run_pivot_level<double>(const PipelineContext&,
-                                                      std::span<const double>, std::size_t,
-                                                      simt::LaunchOrigin, const LevelOptions&);
+template LevelOutcome<double> finish_level<double>(const PipelineContext&,
+                                                   std::span<const double>, std::size_t,
+                                                   simt::LaunchOrigin, SearchTree<double>,
+                                                   const LevelOptions&);
 template Result<LevelOutcome<float>> try_run_bucket_level<float>(const PipelineContext&,
                                                                  std::span<const float>,
                                                                  std::size_t, simt::LaunchOrigin,
@@ -310,13 +262,10 @@ template void sort_base_case<float>(const PipelineContext&, std::span<float>, si
 template void sort_base_case<double>(const PipelineContext&, std::span<double>,
                                      simt::LaunchOrigin);
 template struct LevelOutcome<ArgPair>;
-template LevelOutcome<ArgPair> run_bucket_level<ArgPair>(const PipelineContext&,
-                                                         std::span<const ArgPair>, std::size_t,
-                                                         simt::LaunchOrigin, std::uint64_t,
-                                                         const LevelOptions&);
-template LevelOutcome<ArgPair> run_pivot_level<ArgPair>(const PipelineContext&,
-                                                        std::span<const ArgPair>, std::size_t,
-                                                        simt::LaunchOrigin, const LevelOptions&);
+template LevelOutcome<ArgPair> finish_level<ArgPair>(const PipelineContext&,
+                                                     std::span<const ArgPair>, std::size_t,
+                                                     simt::LaunchOrigin, SearchTree<ArgPair>,
+                                                     const LevelOptions&);
 template Result<LevelOutcome<ArgPair>> try_run_bucket_level<ArgPair>(const PipelineContext&,
                                                                      std::span<const ArgPair>,
                                                                      std::size_t,

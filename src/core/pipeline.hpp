@@ -18,8 +18,14 @@
 //                          simt/pool.hpp).  Zero-on-acquire goes through
 //                          zeroed_i32(), which still launches the simulated
 //                          memset so event counts are unchanged.
-//   * run_bucket_level  -- the level executor; returns a LevelOutcome
-//                          owning the level's pooled buffers.
+//   * try_run_bucket_level / try_run_pivot_level -- the level executors
+//                          (sampled splitters / deterministic pivot), each
+//                          inside the fault-retry loop; they return a
+//                          LevelOutcome owning the level's pooled buffers.
+//   * finish_level      -- the raw level building block under both: count
+//                          -> (reduce) -> (select-bucket) over a splitter
+//                          tree the caller gives.  Sharded passes that
+//                          count against a merged tree call it directly.
 //   * filter_bucket / filter_topk -- bucket extraction on top of an
 //                          outcome.
 //   * DataHolder/PingPong -- the two data buffers ping-ponged across
@@ -41,11 +47,14 @@
 // Robustness (docs/robustness.md): injected faults surface here as
 // simt::AllocFault / simt::LaunchFault.  Both are thrown *before* any side
 // effect (no clock advance, no counter merge, no reservation), so every
-// step of a level is safe to retry verbatim.  The try_* level executors
-// and the with_fault_retry wrapper implement the bounded-retry policy --
-// alloc failure: pool trim + retry; launch failure: rerun (the level
-// executors rerun the whole level with a fresh sample salt) -- and convert
-// exhaustion into a typed Status instead of an escaping exception.
+// step of a level is safe to retry verbatim.  with_fault_retry is the one
+// place that maps faults to a Status: it implements the bounded-retry
+// policy -- alloc failure: pool trim + retry; launch failure: rerun (the
+// level executors rerun the whole level with a fresh sample salt) -- and
+// converts exhaustion, sanitizer violations (SimTSan and StreamSan) and
+// tracker underflows into a typed Status instead of an escaping exception.
+// Every raw step (finish_level, filter_bucket, launch_copy, ...) runs
+// inside it.
 
 #include <cstdint>
 #include <span>
@@ -168,30 +177,22 @@ struct LevelOutcome {
     [[nodiscard]] T equality_value(std::int32_t b) const;
 };
 
-/// Runs one bucketing level over `data`: sample splitters -> count ->
-/// (reduce in shared mode) -> select-bucket (when opt.locate).
+/// The raw level building block: count `data` against `tree` -> (reduce in
+/// shared mode) -> select-bucket for `rank` (when opt.locate).  Buffer
+/// lengths follow the tree's bucket count.  Throws the simulator's fault
+/// and sanitizer exceptions, so callers run it inside with_fault_retry.
 template <typename T>
-[[nodiscard]] LevelOutcome<T> run_bucket_level(const PipelineContext& ctx,
-                                               std::span<const T> data, std::size_t rank,
-                                               simt::LaunchOrigin origin, std::uint64_t salt = 0,
-                                               const LevelOptions& opt = {});
+[[nodiscard]] LevelOutcome<T> finish_level(const PipelineContext& ctx, std::span<const T> data,
+                                           std::size_t rank, simt::LaunchOrigin origin,
+                                           SearchTree<T> tree, const LevelOptions& opt = {});
 
-/// Deterministic guaranteed-progress level: pivot = median of 9
-/// deterministically strided elements, splitters {p, p, p} -> a 4-bucket
-/// tripartition tree whose equality bucket (all elements == p, at least
-/// the sampled occurrences) guarantees the non-equality buckets shrink.
-/// Used after the resampling budget is exhausted; no randomness involved,
-/// so it cannot stall twice the same way.
-template <typename T>
-[[nodiscard]] LevelOutcome<T> run_pivot_level(const PipelineContext& ctx, std::span<const T> data,
-                                              std::size_t rank, simt::LaunchOrigin origin,
-                                              const LevelOptions& opt = {});
-
-/// Fault-hardened run_bucket_level: retries the whole level (with a fresh
-/// sample salt) on injected launch faults and after a pool trim on
-/// injected allocation faults, at most kFaultRetryAttempts times; the
-/// first attempt uses `salt` verbatim, so fault-free event streams are
-/// unchanged.  Exhaustion returns launch_failed / allocation_failed.
+/// One sampled bucketing level over `data`: sample splitters -> count ->
+/// (reduce in shared mode) -> select-bucket (when opt.locate), run inside
+/// with_fault_retry.  A retry reruns the whole level with a fresh sample
+/// salt; the first attempt uses `salt` verbatim, so fault-free event
+/// streams are unchanged.  Exhaustion returns launch_failed /
+/// allocation_failed; a sanitizer violation returns sanitizer_violation
+/// at once, unretried.
 template <typename T>
 [[nodiscard]] Result<LevelOutcome<T>> try_run_bucket_level(const PipelineContext& ctx,
                                                            std::span<const T> data,
@@ -200,8 +201,12 @@ template <typename T>
                                                            std::uint64_t salt = 0,
                                                            const LevelOptions& opt = {});
 
-/// Fault-hardened run_pivot_level (the pivot is deterministic, so retries
-/// rerun it verbatim).
+/// Deterministic guaranteed-progress level: pivot = median of 9
+/// deterministically strided elements, splitters {p, p, p} -> a 4-bucket
+/// tripartition tree whose equality bucket (all elements == p, at least
+/// the sampled occurrences) guarantees the non-equality buckets shrink.
+/// Used after the resampling budget is exhausted; no randomness involved,
+/// so it cannot stall twice the same way, and retries rerun it verbatim.
 template <typename T>
 [[nodiscard]] Result<LevelOutcome<T>> try_run_pivot_level(const PipelineContext& ctx,
                                                           std::span<const T> data,
@@ -376,7 +381,7 @@ private:
 /// Linear-descent driver: one located bucket per level, ping-pong data
 /// buffers.  sample_select and top-k are thin policies over this; variants
 /// with other descent shapes (multiselect's bucket tree, approximate
-/// selection's count-only level) use run_bucket_level/filter_bucket
+/// selection's count-only level) use try_run_bucket_level/filter_bucket
 /// directly with their own buffer management.
 template <typename T>
 class SelectionPipeline {
@@ -391,12 +396,8 @@ public:
     [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
     [[nodiscard]] T value_at(std::size_t i) const noexcept { return data_.data()[i]; }
 
-    /// Runs one bucketing level over the current data buffer.
-    [[nodiscard]] LevelOutcome<T> run_level(std::size_t rank, simt::LaunchOrigin origin,
-                                            std::uint64_t salt, const LevelOptions& opt = {}) {
-        return run_bucket_level<T>(ctx_, data_.data(), rank, origin, salt, opt);
-    }
-    /// Fault-hardened run_level (see try_run_bucket_level).
+    /// One bucketing level over the current data buffer (see
+    /// try_run_bucket_level).
     [[nodiscard]] Result<LevelOutcome<T>> try_run_level(std::size_t rank,
                                                         simt::LaunchOrigin origin,
                                                         std::uint64_t salt,
@@ -409,16 +410,10 @@ public:
                                                                  const LevelOptions& opt = {}) {
         return try_run_pivot_level<T>(ctx_, data_.data(), rank, origin, opt);
     }
-    /// Filters the located bucket into the back buffer and descends.
-    void descend(const LevelOutcome<T>& lv, simt::LaunchOrigin origin) {
-        auto out = data_.back(ctx_, lv.bucket_size);
-        filter_bucket<T>(ctx_, data_.data(), lv, lv.bucket, out, origin);
-        data_.flip(lv.bucket_size);
-    }
-    /// Fault-hardened descend: the back-buffer acquisition and filter
-    /// launch retry under the bounded policy; the flip happens only after
-    /// the filter succeeded, so a failed descent leaves the pipeline on
-    /// its current (intact) buffer.
+    /// Filters the located bucket into the back buffer and descends.  The
+    /// back-buffer acquisition and filter launch retry under the bounded
+    /// policy; the flip happens only after the filter succeeded, so a
+    /// failed descent leaves the pipeline on its current (intact) buffer.
     [[nodiscard]] Status try_descend(const LevelOutcome<T>& lv, simt::LaunchOrigin origin) {
         Status s = with_fault_retry(ctx_, [&] {
             auto out = data_.back(ctx_, lv.bucket_size);
@@ -428,15 +423,9 @@ public:
         return s;
     }
     /// Top-k descent: fused filter into the back buffer + accumulator.
-    void descend_topk(const LevelOutcome<T>& lv, std::span<T> acc, std::int32_t acc_fill,
-                      simt::LaunchOrigin origin) {
-        auto out = data_.back(ctx_, lv.bucket_size);
-        filter_topk<T>(ctx_, data_.data(), lv, out, acc, acc_fill, origin);
-        data_.flip(lv.bucket_size);
-    }
-    /// Fault-hardened descend_topk.  Safe to retry: the fused filter
-    /// rewrites out and the accumulator range above acc_fill from scratch
-    /// on every run (fresh cursors per attempt).
+    /// Safe to retry: the fused filter rewrites out and the accumulator
+    /// range above acc_fill from scratch on every run (fresh cursors per
+    /// attempt).
     [[nodiscard]] Status try_descend_topk(const LevelOutcome<T>& lv, std::span<T> acc,
                                           std::int32_t acc_fill, simt::LaunchOrigin origin) {
         Status s = with_fault_retry(ctx_, [&] {
@@ -446,12 +435,9 @@ public:
         if (s.ok()) data_.flip(lv.bucket_size);
         return s;
     }
-    /// Bitonic-sorts the current buffer in place (the recursion base case).
-    void sort_base_case(simt::LaunchOrigin origin) {
-        core::sort_base_case<T>(ctx_, data_.data(), origin);
-    }
-    /// Fault-hardened base case (the sort launch faults before touching
-    /// the data, so retries see the unsorted input).
+    /// Bitonic-sorts the current buffer in place (the recursion base case;
+    /// the sort launch faults before touching the data, so retries see the
+    /// unsorted input).
     [[nodiscard]] Status try_sort_base_case(simt::LaunchOrigin origin) {
         return with_fault_retry(ctx_,
                                 [&] { core::sort_base_case<T>(ctx_, data_.data(), origin); });
@@ -463,23 +449,15 @@ private:
 };
 
 extern template struct LevelOutcome<float>;
+extern template LevelOutcome<float> finish_level<float>(const PipelineContext&,
+                                                        std::span<const float>, std::size_t,
+                                                        simt::LaunchOrigin, SearchTree<float>,
+                                                        const LevelOptions&);
 extern template struct LevelOutcome<double>;
-extern template LevelOutcome<float> run_bucket_level<float>(const PipelineContext&,
-                                                            std::span<const float>, std::size_t,
-                                                            simt::LaunchOrigin, std::uint64_t,
-                                                            const LevelOptions&);
-extern template LevelOutcome<double> run_bucket_level<double>(const PipelineContext&,
-                                                              std::span<const double>,
-                                                              std::size_t, simt::LaunchOrigin,
-                                                              std::uint64_t, const LevelOptions&);
-extern template LevelOutcome<float> run_pivot_level<float>(const PipelineContext&,
-                                                           std::span<const float>, std::size_t,
-                                                           simt::LaunchOrigin,
-                                                           const LevelOptions&);
-extern template LevelOutcome<double> run_pivot_level<double>(const PipelineContext&,
-                                                             std::span<const double>, std::size_t,
-                                                             simt::LaunchOrigin,
-                                                             const LevelOptions&);
+extern template LevelOutcome<double> finish_level<double>(const PipelineContext&,
+                                                          std::span<const double>, std::size_t,
+                                                          simt::LaunchOrigin, SearchTree<double>,
+                                                          const LevelOptions&);
 extern template Result<LevelOutcome<float>> try_run_bucket_level<float>(
     const PipelineContext&, std::span<const float>, std::size_t, simt::LaunchOrigin,
     std::uint64_t, const LevelOptions&);
@@ -519,15 +497,10 @@ extern template void sort_base_case<float>(const PipelineContext&, std::span<flo
 extern template void sort_base_case<double>(const PipelineContext&, std::span<double>,
                                             simt::LaunchOrigin);
 extern template struct LevelOutcome<ArgPair>;
-extern template LevelOutcome<ArgPair> run_bucket_level<ArgPair>(const PipelineContext&,
-                                                                std::span<const ArgPair>,
-                                                                std::size_t, simt::LaunchOrigin,
-                                                                std::uint64_t,
-                                                                const LevelOptions&);
-extern template LevelOutcome<ArgPair> run_pivot_level<ArgPair>(const PipelineContext&,
-                                                               std::span<const ArgPair>,
-                                                               std::size_t, simt::LaunchOrigin,
-                                                               const LevelOptions&);
+extern template LevelOutcome<ArgPair> finish_level<ArgPair>(const PipelineContext&,
+                                                            std::span<const ArgPair>, std::size_t,
+                                                            simt::LaunchOrigin, SearchTree<ArgPair>,
+                                                            const LevelOptions&);
 extern template Result<LevelOutcome<ArgPair>> try_run_bucket_level<ArgPair>(
     const PipelineContext&, std::span<const ArgPair>, std::size_t, simt::LaunchOrigin,
     std::uint64_t, const LevelOptions&);

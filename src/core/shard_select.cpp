@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/count_kernel.hpp"
-#include "core/filter_kernel.hpp"
 #include "core/float_order.hpp"
 #include "core/multiselect.hpp"
 #include "core/pipeline.hpp"
@@ -55,6 +54,7 @@ struct ShardEnv {
     std::vector<int> stream;  ///< leased compute stream per used device
     std::size_t total_n = 0;  ///< non-NaN elements over all shards
     std::size_t nan = 0;
+    bool nan_tail = false;  ///< the answer lies among the NaNs: nothing was planned
 
     double t0 = 0.0;
     std::uint64_t bytes0 = 0;
@@ -109,11 +109,51 @@ struct ShardEnv {
     }
 };
 
-/// Leases streams, marks the measurement baselines, and cuts the non-NaN
-/// elements of `input` into near-equal contiguous chunks placed round-robin
-/// over the used devices.
+/// Argument check of the rank-taking front-ends (select, approximate select).
+Status check_rank(std::size_t n, std::size_t rank) {
+    if (n == 0) {
+        return Status::failure(SelectError::empty_input, "sharded select of an empty input");
+    }
+    if (rank >= n) {
+        return Status::failure(SelectError::rank_out_of_range, "rank exceeds the input size");
+    }
+    return Status::success();
+}
+
+/// The prologue every sharded front-end shares, in order: the config check,
+/// `args` (the front-end's own argument check), and the NaN count, an error
+/// under NanPolicy::reject.  When ascending `rank` (NaNs last) lies in the
+/// NaN tail it stops with env.nan_tail set, and the caller answers.
+/// Otherwise it plans the shards, leases streams, marks the measurement
+/// baselines, cuts the non-NaN elements of `input` into near-equal
+/// contiguous chunks placed round-robin over the used devices, and records
+/// the planner decision.  A top-k call passes rank = n - k and `top_k`: its
+/// non-NaN winners must fit one shard to gather on the root, and the
+/// planner record reports their count.
 template <typename T>
-void prepare_env(ShardEnv<T>& env, std::span<const T> input, const ShardPlan& plan) {
+Status open_env(ShardEnv<T>& env, std::span<const T> input, const Status& args,
+                std::size_t rank, bool top_k = false) {
+    if (Status v = validate_shard_config(env.cfg); !v.ok()) return v;
+    if (!args.ok()) return args;
+    env.nan = count_nan_keys(input);
+    if (env.nan > 0 && env.cfg.select.nan_policy == NanPolicy::reject) {
+        return Status::failure(SelectError::nan_keys_rejected,
+                               "NaN keys present with NanPolicy::reject");
+    }
+    env.total_n = input.size() - env.nan;
+    if (rank >= env.total_n) {
+        env.nan_tail = true;
+        return Status::success();
+    }
+    const ShardPlan plan = plan_shard_count(env.total_n, sizeof(T),
+                                            env.group.mem_capacity_bytes(), env.group.size(),
+                                            env.cfg.max_shard_elems);
+    const std::size_t planned_k = top_k ? env.total_n - rank : rank;
+    if (top_k && plan.shards > 1 && planned_k > plan.shard_elems) {
+        return Status::failure(SelectError::invalid_argument,
+                               "sharded top-k: k exceeds the per-shard staging budget (the "
+                               "gathered result must fit the root device)");
+    }
     const std::size_t shards = plan.shards;
     env.devices_used = static_cast<int>(
         std::min<std::size_t>(shards, static_cast<std::size_t>(env.group.size())));
@@ -145,6 +185,9 @@ void prepare_env(ShardEnv<T>& env, std::span<const T> input, const ShardPlan& pl
         }
         env.shard_dev[j] = static_cast<int>(j % static_cast<std::size_t>(env.devices_used));
     }
+    record_planned_decision(env.group.device(0), {BackendKind::sample, plan.reason, false},
+                            env.total_n, planned_k, env.stream[0]);
+    return Status::success();
 }
 
 /// Phase A: every shard contributes s_j exact order statistics at regular
@@ -500,7 +543,6 @@ Status phase_filter_merge(ShardEnv<T>& env, const MergeState<T>& ms, const Count
         const auto fj = static_cast<std::size_t>(co.shard_totals[j][bucket]);
         if (fj == 0) continue;
         const auto& chunk = env.chunks[j];
-        const std::size_t nj = chunk.size();
         const int d = env.shard_dev[j];
         const auto ud = static_cast<std::size_t>(d);
         simt::Device& dev = env.group.device(d);
@@ -512,31 +554,9 @@ Status phase_filter_merge(ShardEnv<T>& env, const MergeState<T>& ms, const Count
             const std::span<T> dst = d == 0 ? merged->span().subspan(slot[j], fj)
                                             : frags[ud]->span().subspan(slot[j], fj);
             auto staged = DataHolder<T>::stage(ctx, chunk);
-            const PipelinePlan pl = PipelinePlan::make(dev, nj, cfgB, true);
-            auto oracles = ctx.scratch<std::uint8_t>(nj);
-            auto totals = ctx.scratch<std::int32_t>(static_cast<std::size_t>(ms.b_eff));
-            std::optional<simt::PooledBuffer<std::int32_t>> bc;
-            std::span<std::int32_t> bcs{};
-            if (pl.shared_mode) {
-                bc.emplace(ctx.scratch<std::int32_t>(pl.block_counts_len()));
-                bcs = bc->span();
-            } else {
-                launch_memset32(dev, totals.span(), simt::LaunchOrigin::host, sd);
-            }
-            const int grid =
-                count_kernel<T>(dev, std::span<const T>(staged.span()), ms.device_tree[ud],
-                                oracles.span(), totals.span(), bcs, cfgB,
-                                simt::LaunchOrigin::host, sd);
-            std::optional<simt::PooledBuffer<std::int32_t>> gctr;
-            if (pl.shared_mode) {
-                reduce_kernel(dev, bcs, grid, ms.b_eff, totals.span(), true,
-                              simt::LaunchOrigin::host, cfgB.block_dim, sd);
-            } else {
-                gctr.emplace(ctx.zeroed_i32(1, simt::LaunchOrigin::host));
-            }
-            filter_kernel<T>(dev, std::span<const T>(staged.span()), oracles.span(), co.bucket,
-                             dst, bcs, ms.b_eff, gctr ? gctr->span() : std::span<std::int32_t>{},
-                             cfgB, simt::LaunchOrigin::host, grid, sd);
+            const auto lv = finish_level<T>(ctx, staged.span(), 0, simt::LaunchOrigin::host,
+                                            ms.device_tree[ud], {.locate = false});
+            filter_bucket<T>(ctx, staged.span(), lv, co.bucket, dst, simt::LaunchOrigin::host);
         });
         if (!st.ok()) return st;
         env.sample_peaks();
@@ -614,35 +634,17 @@ template <typename T>
 Result<ShardedSelectResult<T>> try_sharded_select(simt::DeviceGroup& group,
                                                   std::span<const T> input, std::size_t rank,
                                                   const ShardSelectConfig& cfg) {
-    if (Status v = validate_shard_config(cfg); !v.ok()) return v;
-    const std::size_t n = input.size();
-    if (n == 0) {
-        return Status::failure(SelectError::empty_input, "sharded select of an empty input");
-    }
-    if (rank >= n) {
-        return Status::failure(SelectError::rank_out_of_range, "rank exceeds the input size");
-    }
-    const std::size_t nan = count_nan_keys(input);
-    if (nan > 0 && cfg.select.nan_policy == NanPolicy::reject) {
-        return Status::failure(SelectError::nan_keys_rejected,
-                               "NaN keys present with NanPolicy::reject");
+    ShardEnv<T> env(group, cfg);
+    if (Status st = open_env(env, input, check_rank(input.size(), rank), rank); !st.ok()) {
+        return st;
     }
     ShardedSelectResult<T> res;
-    const std::size_t clean_n = n - nan;
-    if (rank >= clean_n) {
-        // The rank falls inside the NaN tail: NaNs are the largest keys.
+    if (env.nan_tail) {
+        // NaNs are the largest keys.
         res.value = quiet_nan<T>();
-        res.acct.nan_count = nan;
+        res.acct.nan_count = env.nan;
         return res;
     }
-    const ShardPlan plan = plan_shard_count(clean_n, sizeof(T), group.mem_capacity_bytes(),
-                                            group.size(), cfg.max_shard_elems);
-    ShardEnv<T> env(group, cfg);
-    env.total_n = clean_n;
-    env.nan = nan;
-    prepare_env(env, input, plan);
-    record_planned_decision(group.device(0), {BackendKind::sample, plan.reason, false}, clean_n,
-                            rank, env.stream[0]);
     ExactOutcome<T> ex;
     if (Status st = run_exact(env, rank, ex); !st.ok()) return st;
     res.value = ex.value;
@@ -659,34 +661,16 @@ Result<ShardedApproxSelectResult<T>> try_sharded_approx_select(simt::DeviceGroup
                                                                std::span<const T> input,
                                                                std::size_t rank,
                                                                const ShardSelectConfig& cfg) {
-    if (Status v = validate_shard_config(cfg); !v.ok()) return v;
-    const std::size_t n = input.size();
-    if (n == 0) {
-        return Status::failure(SelectError::empty_input, "sharded select of an empty input");
-    }
-    if (rank >= n) {
-        return Status::failure(SelectError::rank_out_of_range, "rank exceeds the input size");
-    }
-    const std::size_t nan = count_nan_keys(input);
-    if (nan > 0 && cfg.select.nan_policy == NanPolicy::reject) {
-        return Status::failure(SelectError::nan_keys_rejected,
-                               "NaN keys present with NanPolicy::reject");
+    ShardEnv<T> env(group, cfg);
+    if (Status st = open_env(env, input, check_rank(input.size(), rank), rank); !st.ok()) {
+        return st;
     }
     ShardedApproxSelectResult<T> res;
-    const std::size_t clean_n = n - nan;
-    if (rank >= clean_n) {
+    if (env.nan_tail) {
         res.value = quiet_nan<T>();
-        res.acct.nan_count = nan;
+        res.acct.nan_count = env.nan;
         return res;
     }
-    const ShardPlan plan = plan_shard_count(clean_n, sizeof(T), group.mem_capacity_bytes(),
-                                            group.size(), cfg.max_shard_elems);
-    ShardEnv<T> env(group, cfg);
-    env.total_n = clean_n;
-    env.nan = nan;
-    prepare_env(env, input, plan);
-    record_planned_decision(group.device(0), {BackendKind::sample, plan.reason, false}, clean_n,
-                            rank, env.stream[0]);
     // The approximate path always runs the merge machinery (even for one
     // shard): the splitter edges ARE the answer, and the exact per-shard
     // counts make the residual rank error exact.
@@ -720,18 +704,15 @@ Result<ShardedApproxSelectResult<T>> try_sharded_approx_select(simt::DeviceGroup
 template <typename T>
 Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::span<const T> input,
                                               std::size_t k, const ShardSelectConfig& cfg) {
-    if (Status v = validate_shard_config(cfg); !v.ok()) return v;
     const std::size_t n = input.size();
-    if (k == 0 || k > n) {
-        return Status::failure(SelectError::rank_out_of_range, "top-k k must be in [1, n]");
-    }
-    const std::size_t nan = count_nan_keys(input);
-    if (nan > 0 && cfg.select.nan_policy == NanPolicy::reject) {
-        return Status::failure(SelectError::nan_keys_rejected,
-                               "NaN keys present with NanPolicy::reject");
-    }
+    const Status args = k == 0 || k > n ? Status::failure(SelectError::rank_out_of_range,
+                                                          "top-k k must be in [1, n]")
+                                        : Status::success();
+    ShardEnv<T> env(group, cfg);
+    if (Status st = open_env(env, input, args, n - k, /*top_k=*/true); !st.ok()) return st;
     ShardedTopKResult<T> res;
-    if (k <= nan) {
+    const std::size_t nan = env.nan;
+    if (env.nan_tail) {
         // NaNs are the largest keys: the whole top-k set is NaN.
         res.elements.assign(k, quiet_nan<T>());
         res.threshold = quiet_nan<T>();
@@ -739,21 +720,8 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
         return res;
     }
     const std::size_t kp = k - nan;  // non-NaN winners needed
-    const std::size_t clean_n = n - nan;
-    const ShardPlan plan = plan_shard_count(clean_n, sizeof(T), group.mem_capacity_bytes(),
-                                            group.size(), cfg.max_shard_elems);
-    if (plan.shards > 1 && kp > plan.shard_elems) {
-        return Status::failure(SelectError::invalid_argument,
-                               "sharded top-k: k exceeds the per-shard staging budget (the "
-                               "gathered result must fit the root device)");
-    }
-    ShardEnv<T> env(group, cfg);
-    env.total_n = clean_n;
-    env.nan = nan;
-    prepare_env(env, input, plan);
-    record_planned_decision(group.device(0), {BackendKind::sample, plan.reason, false}, clean_n,
-                            kp, env.stream[0]);
-    if (plan.shards == 1) {
+    const std::size_t clean_n = env.total_n;
+    if (env.chunks.size() == 1) {
         SampleSelectConfig one = env.sel;
         one.stream = env.stream[0];
         auto r = try_topk_largest<T>(group.device(0), std::span<const T>(env.chunks[0]), kp, one);
@@ -804,8 +772,7 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
     std::size_t off = 0;
     for (std::size_t j = 0; j < env.chunks.size(); ++j) {
         const auto& chunk = env.chunks[j];
-        const std::size_t nj = chunk.size();
-        if (nj == 0) continue;
+        if (chunk.empty()) continue;
         const int d = env.shard_dev[j];
         simt::Device& dev = env.group.device(d);
         const int sd = env.stream[static_cast<std::size_t>(d)];
@@ -817,34 +784,12 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
             frag_keep.reset();
             qj = 0;
             auto staged = DataHolder<T>::stage(ctx, chunk);
-            const PipelinePlan pl = PipelinePlan::make(dev, nj, cfg3, true);
-            auto oracles = ctx.scratch<std::uint8_t>(nj);
-            auto totals = ctx.scratch<std::int32_t>(4);
-            std::optional<simt::PooledBuffer<std::int32_t>> bc;
-            std::span<std::int32_t> bcs{};
-            if (pl.shared_mode) {
-                bc.emplace(ctx.scratch<std::int32_t>(pl.block_counts_len()));
-                bcs = bc->span();
-            } else {
-                launch_memset32(dev, totals.span(), simt::LaunchOrigin::host, sd);
-            }
-            const int grid = count_kernel<T>(dev, std::span<const T>(staged.span()),
-                                             tri[static_cast<std::size_t>(d)], oracles.span(),
-                                             totals.span(), bcs, cfg3, simt::LaunchOrigin::host,
-                                             sd);
-            std::optional<simt::PooledBuffer<std::int32_t>> gctr;
-            if (pl.shared_mode) {
-                reduce_kernel(dev, bcs, grid, 4, totals.span(), true, simt::LaunchOrigin::host,
-                              cfg3.block_dim, sd);
-            } else {
-                gctr.emplace(ctx.zeroed_i32(1, simt::LaunchOrigin::host));
-            }
-            qj = static_cast<std::size_t>(totals[3]);
+            const auto lv = finish_level<T>(ctx, staged.span(), 0, simt::LaunchOrigin::host,
+                                            tri[static_cast<std::size_t>(d)], {.locate = false});
+            qj = static_cast<std::size_t>(lv.totals_span()[3]);
             if (qj == 0) return;
             auto frag = dev.pooled<T>(qj, sd);
-            filter_kernel<T>(dev, std::span<const T>(staged.span()), oracles.span(), 3,
-                             frag.span(), bcs, 4, gctr ? gctr->span() : std::span<std::int32_t>{},
-                             cfg3, simt::LaunchOrigin::host, grid, sd);
+            filter_bucket<T>(ctx, staged.span(), lv, 3, frag.span(), simt::LaunchOrigin::host);
             frag_keep.emplace(std::move(frag));
         });
         if (!st.ok()) return st;
@@ -934,24 +879,10 @@ Status StreamingQuantile<T>::observe(std::span<const T> chunk) {
     std::vector<std::int32_t> host_totals(b, 0);
     Status st = with_fault_retry(ctx, [&] {
         auto staged = DataHolder<T>::stage(ctx, clean);
-        const PipelinePlan pl = PipelinePlan::make(*dev_, clean.size(), cfgB, false);
-        auto totals = ctx.scratch<std::int32_t>(b);
-        std::optional<simt::PooledBuffer<std::int32_t>> bc;
-        std::span<std::int32_t> bcs{};
-        if (pl.shared_mode) {
-            bc.emplace(ctx.scratch<std::int32_t>(pl.block_counts_len()));
-            bcs = bc->span();
-        } else {
-            launch_memset32(*dev_, totals.span(), simt::LaunchOrigin::host, ctx.stream());
-        }
-        const int grid = count_kernel<T>(*dev_, std::span<const T>(staged.span()), tree_, {},
-                                         totals.span(), bcs, cfgB, simt::LaunchOrigin::host,
-                                         ctx.stream());
-        if (pl.shared_mode) {
-            reduce_kernel(*dev_, bcs, grid, tree_.num_buckets, totals.span(), false,
-                          simt::LaunchOrigin::host, cfgB.block_dim, ctx.stream());
-        }
-        std::copy(totals.span().begin(), totals.span().end(), host_totals.begin());
+        const auto lv = finish_level<T>(
+            ctx, staged.span(), 0, simt::LaunchOrigin::host, tree_,
+            {.write_oracles = false, .keep_block_offsets = false, .locate = false});
+        std::copy(lv.totals_span().begin(), lv.totals_span().end(), host_totals.begin());
     });
     if (!st.ok()) return st;
     for (std::size_t i = 0; i < b; ++i) totals_[i] += host_totals[i];

@@ -191,6 +191,35 @@ TEST_P(Fuzz, ShardedSelectAgreesWithReference) {
                     c.description + " rank=" + std::to_string(c.rank));
 }
 
+TEST_P(Fuzz, ShardedTopKAgreesWithReference) {
+    auto c = make_case(GetParam() + 7000);
+    data::Xoshiro256 rng(GetParam() * 0x9e3779b97f4a7c15ULL + 13);
+    const bool nans = add_nans(c, rng);
+    simt::TopologySpec spec;
+    spec.num_devices = 1 + static_cast<int>(rng.bounded(3));
+    spec.arch = simt::arch_v100();
+    spec.mem_capacity_bytes = 16 * 1024;
+    simt::DeviceGroup group(spec);
+    core::ShardSelectConfig scfg;
+    scfg.select = c.cfg;
+    // k stays below one shard's 1024-float staging budget, so every case
+    // gathers on the root.
+    const std::size_t k = 1 + c.rank % std::min<std::size_t>(c.data.size(), 500);
+    const std::string what = c.description + " k=" + std::to_string(k);
+    const auto r = core::try_sharded_topk<float>(group, c.data, k, scfg);
+    if (nans && c.cfg.nan_policy == core::NanPolicy::reject) {
+        EXPECT_EQ(r.error(), core::SelectError::nan_keys_rejected) << what;
+        return;
+    }
+    const auto res = must(r);
+    const auto sorted = total_order(c.data);
+    const std::vector<float> want(sorted.end() - static_cast<std::ptrdiff_t>(k), sorted.end());
+    ASSERT_EQ(res.elements.size(), k) << what;
+    const auto got = total_order(res.elements);
+    for (std::size_t i = 0; i < k; ++i) expect_same_key(got[i], want[i], what);
+    expect_same_key(res.threshold, want.front(), what + " threshold");
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz, ::testing::Range<std::uint64_t>(0, 24));
 
 }  // namespace

@@ -446,6 +446,33 @@ TEST(StreamSanStatus, StrictHazardMapsToSanitizerViolation) {
     EXPECT_NE(result.message.find("write_write_race"), std::string::npos);
 }
 
+TEST(StreamSanStatus, StrictHazardInsideLevelMapsToSanitizerViolation) {
+    // Both level executors run inside the pipeline's one retry wrapper, so
+    // a level whose first launch reads a buffer another stream wrote with
+    // no event edge reports sanitizer_violation -- never an escaping
+    // StreamSanError -- and is not retried.
+    for (const bool pivot : {false, true}) {
+        SCOPED_TRACE(pivot ? "try_run_pivot_level" : "try_run_bucket_level");
+        auto dev = make_dev();
+        dev.set_stream_sanitizer(StreamSanMode::strict);
+        const int s1 = dev.create_stream();
+        auto buf = dev.alloc<float>(4096);
+        launch_write(dev, buf.span(), s1);
+        core::SampleSelectConfig cfg;
+        core::PipelineContext ctx(dev, cfg);
+        const std::span<const float> data(buf.span());
+        const auto lv =
+            pivot ? core::try_run_pivot_level<float>(ctx, data, 0, simt::LaunchOrigin::host)
+                  : core::try_run_bucket_level<float>(ctx, data, 0, simt::LaunchOrigin::host);
+        ASSERT_FALSE(lv.ok());
+        EXPECT_EQ(lv.error(), core::SelectError::sanitizer_violation);
+        EXPECT_NE(lv.status().message.find("read_write_race"), std::string::npos)
+            << lv.status().message;
+        EXPECT_EQ(dev.robustness().launch_retries, 0u);
+        EXPECT_EQ(dev.robustness().alloc_retries, 0u);
+    }
+}
+
 // ---- determinism ------------------------------------------------------------
 
 TEST(StreamSanGolden, EventStreamIdenticalWithAnalyzerOn) {

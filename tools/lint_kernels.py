@@ -37,9 +37,9 @@ Rules (each can be waived per line with ``// lint-kernels: allow(<rule>)``):
                           where offsets genuinely interleave
                           (non-aggregated global cursors).
 
-Host-scope rules (src/core, src/server and src/baselines .cpp files; they
+Host-scope rules (src/core, src/server and src/baselines .cpp files; R6-R7
 check the stream/event discipline StreamSan verifies dynamically,
-docs/streamsan.md):
+docs/streamsan.md, R8 the single fault-retry policy, docs/robustness.md):
 
   R6  stream-tagged-launch -- a ``device.launch(...)`` whose brace-literal
                           LaunchConfig carries no ``.stream`` member.  An
@@ -57,6 +57,16 @@ docs/streamsan.md):
                           dead code or a missing ordering edge (exactly the
                           wait_unrecorded / fork-without-join hazards
                           StreamSan reports at runtime).
+  R8  one-retry-policy -- a ``catch`` of ``simt::AllocFault``,
+                          ``LaunchFault``, ``SanError`` or
+                          ``StreamSanError``.  Faults and sanitizer
+                          violations map to a typed Status in exactly one
+                          place, ``with_fault_retry`` (core/pipeline.hpp);
+                          a second hand-written retry loop drifts from it
+                          (a missed exception type escapes the Result
+                          channel, a skipped epilogue hides tracker
+                          underflows).  Run the step inside
+                          ``with_fault_retry`` instead.
 
 Suppressions are themselves forbidden under ``src/core/`` -- the core kernels
 define the idiom and must stay exemplary; waivers are for baselines and
@@ -92,6 +102,7 @@ RULES = {
     "R5": "use-compress-store",
     "R6": "stream-tagged-launch",
     "R7": "event-record-without-wait",
+    "R8": "one-retry-policy",
 }
 
 # Files whose kernel lambdas are subject to the kernel rules (R1-R5).
@@ -104,7 +115,7 @@ KERNEL_SCOPE = [
     "src/bitonic/*.cpp",
 ]
 
-# Host-side code subject to the stream/event discipline rules (R6-R7).
+# Host-side code subject to the stream/event discipline and retry rules (R6-R8).
 HOST_SCOPE = [
     "src/core/*.cpp",
     "src/server/*.cpp",
@@ -116,7 +127,7 @@ DEFAULT_SCOPE = KERNEL_SCOPE + HOST_SCOPE
 # Suppressions may never appear under these prefixes.
 NO_SUPPRESSION_PREFIXES = ("src/core/",)
 
-SUPPRESS_RE = re.compile(r"//\s*lint-kernels:\s*allow\(\s*(R[1-7])\s*\)", re.IGNORECASE)
+SUPPRESS_RE = re.compile(r"//\s*lint-kernels:\s*allow\(\s*(R[1-8])\s*\)", re.IGNORECASE)
 
 # A kernel lambda: any capture list followed by a BlockCtx& parameter.
 LAMBDA_HEAD_RE = re.compile(r"\[[^\[\]]*\]\s*\(\s*(?:gpusel::)?(?:simt::)?BlockCtx\s*&\s*\w+\s*\)")
@@ -130,6 +141,9 @@ R1_RE = re.compile(
     r"std::atomic\b|std::atomic_ref\b|\batomic_ref<|std::mutex\b"
     r"|std::lock_guard\b|std::scoped_lock\b|std::unique_lock\b|std::condition_variable\b"
 )
+R8_RE = re.compile(
+    r"\bcatch\s*\(\s*(?:const\s+)?(?:(?:gpusel::)?simt::)?"
+    r"(AllocFault|LaunchFault|SanError|StreamSanError)\b")
 SYNC_RE = re.compile(r"\b(?:sync|sort_in_shared)\s*\(")
 SHARED_ALLOC_RE = re.compile(r"\.shared_array<")
 
@@ -359,6 +373,13 @@ def lint_file(path: pathlib.Path, rel: str) -> FileReport:
                  "recorded fork edge that nothing joins is dead code or a missing "
                  "ordering edge (StreamSan reports the runtime counterpart as "
                  "wait_unrecorded / a cross-stream race)")
+
+        # R8: fault and sanitizer exceptions map to a Status in one place.
+        for m in R8_RE.finditer(clean):
+            emit("R8", line_of(clean, m.start()),
+                 f"catch of simt::{m.group(1)} outside with_fault_retry "
+                 "(core/pipeline.hpp): run the step inside with_fault_retry so every "
+                 "fault and sanitizer violation maps to a Status through one policy")
 
     # Suppressions are forbidden in the core kernel set.
     if any(norm.startswith(p) for p in NO_SUPPRESSION_PREFIXES):
