@@ -437,28 +437,53 @@ void BM_RadixTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_RadixTopK)->Arg(1 << 16)->Arg(1 << 18)->UseManualTime();
 
-// Adversarial-distribution top-k through the planned front-end
-// (docs/planner.md).  range(1) picks the distribution (0 = all-equal,
-// 1 = heavy duplicates), range(2) the routing (0 = planner auto, which
-// must pick radix on these inputs; 1 = GPUSEL_BACKEND=sample, the
-// pre-planner behavior).  Manual timing on the simulated clock: the
-// auto rows' items_per_second must hold >= 2x their forced-sample
-// siblings (PR acceptance; the CI gate then keeps the family from
-// regressing).  The backend_* counters feed the planner-coverage step
-// of tools/check_bench_regression.py: across the whole sweep every
-// backend must be selected at least once (the small-n row routes to
-// bitonic).
+// Adversarial distributions through the planned front-ends
+// (docs/planner.md).  range(1) picks the input and the operation:
+//   0 = all-equal, deep top-k (k = n/2)
+//   1 = two distinct values, deep top-k
+//   2 = 16 distinct values, single-rank select at n/2
+//   3 = the duplicate-heavy select mix, single-rank select at n/2
+// range(2) the routing (0 = planner auto; 1 = GPUSEL_BACKEND=sample).
+// Manual timing on the simulated clock, so the rows do not depend on the
+// host.  On the top-k rows the planner must pick radix, at least 2x ahead
+// of forced sample; on the select rows it must pick sample, which ends in
+// the equality buckets while radix pays contended histogram atomics.  The
+// planner-choice step of tools/check_bench_regression.py fails any auto
+// row slower than its forced-sample sibling.  The backend_* counters feed
+// its planner-coverage step: across the whole sweep every backend must be
+// selected at least once (the small-n row routes to bitonic).
 void BM_PlannerAdversarial(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
-    const bool heavy_dup = state.range(1) != 0;
+    const auto input = state.range(1);
     const bool force_sample = state.range(2) != 0;
-    const std::size_t k = n / 2;  // deep top-k: the sampler's worst case
-    const auto data =
-        heavy_dup ? data::generate<float>({.n = n,
-                                           .dist = data::Distribution::uniform_distinct,
-                                           .distinct_values = 2,
-                                           .seed = 14})
-                  : std::vector<float>(n, 1.5f);
+    const bool topk = input < 2;
+    const std::size_t k = n / 2;  // top-k: deep, the sampler's worst case; select: the median
+    std::vector<float> data;
+    const char* label = "";
+    switch (input) {
+        case 0:
+            data.assign(n, 1.5f);
+            label = "all_equal/topk";
+            break;
+        case 1:
+            data = data::generate<float>({.n = n,
+                                          .dist = data::Distribution::uniform_distinct,
+                                          .distinct_values = 2,
+                                          .seed = 14});
+            label = "heavy_dup/topk";
+            break;
+        case 2:
+            data = data::generate<float>({.n = n,
+                                          .dist = data::Distribution::uniform_distinct,
+                                          .distinct_values = 16,
+                                          .seed = 15});
+            label = "distinct16/select";
+            break;
+        default:
+            data = data::generate_duplicate_mix(n, 16);
+            label = "dups_mix/select";
+            break;
+    }
     if (force_sample) {
         ::setenv("GPUSEL_BACKEND", "sample", 1);
     } else {
@@ -467,12 +492,20 @@ void BM_PlannerAdversarial(benchmark::State& state) {
     simt::RobustnessCounters rc;
     for (auto _ : state) {
         simt::Device dev(simt::arch_v100(), {.record_profiles = false});
-        auto res = core::try_topk_largest<float>(dev, data, k, {});
-        if (!res.ok()) {
-            state.SkipWithError(res.status().message.c_str());
+        core::Status st;
+        if (topk) {
+            auto res = core::try_topk_largest<float>(dev, data, k, {});
+            st = res.status();
+            if (res.ok()) benchmark::DoNotOptimize(res.value().threshold);
+        } else {
+            auto res = core::try_sample_select<float>(dev, data, k, {});
+            st = res.status();
+            if (res.ok()) benchmark::DoNotOptimize(res.value().value);
+        }
+        if (!st.ok()) {
+            state.SkipWithError(st.message.c_str());
             break;  // still restore GPUSEL_BACKEND below
         }
-        benchmark::DoNotOptimize(res.value().threshold);
         rc += dev.robustness();
         state.SetIterationTime(dev.elapsed_ns() * 1e-9);
     }
@@ -482,8 +515,7 @@ void BM_PlannerAdversarial(benchmark::State& state) {
     state.counters["backend_sample"] = static_cast<double>(rc.backend_sample);
     state.counters["backend_radix"] = static_cast<double>(rc.backend_radix);
     state.counters["backend_bitonic"] = static_cast<double>(rc.backend_bitonic);
-    state.SetLabel(std::string(heavy_dup ? "heavy_dup" : "all_equal") +
-                   (force_sample ? "/forced_sample" : "/auto"));
+    state.SetLabel(std::string(label) + (force_sample ? "/forced_sample" : "/auto"));
 }
 BENCHMARK(BM_PlannerAdversarial)
     ->Args({1 << 16, 0, 0})
@@ -491,6 +523,10 @@ BENCHMARK(BM_PlannerAdversarial)
     ->Args({1 << 16, 1, 0})
     ->Args({1 << 16, 1, 1})
     ->Args({512, 0, 0})  // small n: the planner's bitonic lane
+    ->Args({1 << 18, 2, 0})
+    ->Args({1 << 18, 2, 1})
+    ->Args({1 << 18, 3, 0})
+    ->Args({1 << 18, 3, 1})
     ->UseManualTime();
 
 // Sharded multi-device selection (core/shard_select.hpp): one out-of-core

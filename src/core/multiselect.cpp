@@ -253,7 +253,8 @@ Result<MultiSelectResult<T>> try_multi_select(simt::Device& dev, std::span<const
         q.multi = true;
         q.elem_size = sizeof(T);
         q.base_case_size = cfg.base_case_size;
-        record_planned_decision(dev, plan(q, DistributionHints{}, backend_env_override()),
+        record_planned_decision(dev,
+                                plan(q, DistributionHints{}, dev.arch(), backend_env_override()),
                                 q.n, q.k, ctx.stream());
     }
 

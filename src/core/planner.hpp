@@ -1,10 +1,16 @@
 #pragma once
 // The adaptive backend planner (docs/planner.md): chooses which selection
-// backend (core/backend.hpp) runs a given problem, from the problem shape
-// (n, k, element width), a cheap host-side distribution probe, the
-// GPUSEL_BACKEND environment override, and the device's RobustnessCounters
-// feedback (a sampler that just thrashed -- resamples/fallbacks grew since
-// the previous decision -- is evidence the distribution defeats sampling).
+// backend (core/backend.hpp) runs a given problem.  A few structural rules
+// come first (the GPUSEL_BACKEND override, multi-rank trees, small n, deep
+// top-k); every other single-rank problem goes to the feasible backend
+// with the lowest modeled cost.  estimate_ns prices each backend's
+// predicted launch sequence -- levels or digit passes, launches, bytes and
+// same-bin atomic collisions -- with the device's own timing model
+// (simt::simulate_time), from the problem shape (n, k, element width) and
+// a cheap host-side distribution probe.  The device's RobustnessCounters
+// feedback enters the same estimate: a sampler that just thrashed
+// (resamples/fallbacks grew since the previous decision) is priced with
+// the levels it re-ran.
 //
 // Planning is pure host-side bookkeeping: the probe reads a handful of
 // staged elements (host reads are untimed in this simulator, like every
@@ -29,10 +35,6 @@ namespace gpusel::core {
 /// Elements the distribution probe reads (evenly strided over the staged
 /// buffer; host-side, untimed).
 inline constexpr std::size_t kPlannerProbeSize = 64;
-/// Probes whose dominant key reaches this share classify the input as
-/// duplicate-heavy -> radix (its skip-filter descent resolves shared
-/// digit prefixes without re-reading the data).
-inline constexpr double kPlannerDominantFrac = 0.25;
 
 /// What the planner learned from probing the staged data.
 struct DistributionHints {
@@ -57,32 +59,54 @@ struct PlanQuery {
     bool topk = false;          ///< top-k accumulation vs single-rank
     bool multi = false;         ///< multi-rank bucket tree (sample only)
     std::size_t elem_size = 0;  ///< sizeof(T)
+    /// Trailing bytes of the radix key image that hold a unique payload
+    /// (ArgPair indices), so every key is distinct once they are reached.
+    std::size_t payload_size = 0;
     std::size_t base_case_size = 0;
+    /// Buckets per sampled level (SampleSelectConfig::num_buckets).
+    int num_buckets = SampleSelectConfig{}.num_buckets;
     /// resamples+fallbacks growth since the previous planned decision on
-    /// this device (sampler-thrash feedback; 0 = healthy).  plan_selection
+    /// this device (sampler-thrash feedback; 0 = healthy): the sample
+    /// estimate re-runs that many levels.  plan_selection
     /// zeroes the delta when the previous decision was for a problem of a
     /// dissimilar shape (different element width, or n outside 4x either
     /// way), so one workload's thrash never biases an unrelated one.
     std::uint64_t thrash_delta = 0;
     /// Quarantine bitmask (backend_bit per BackendKind): backends a
     /// supervisor's circuit breaker has taken out of rotation.  plan()
-    /// treats them as infeasible and routes to the healthiest fallback;
-    /// 0 (the default) changes nothing.
+    /// treats them as infeasible and routes to the cheapest remaining
+    /// backend; 0 (the default) changes nothing.
     std::uint32_t quarantined = 0;
 };
 
 struct PlanDecision {
     BackendKind backend = BackendKind::sample;
-    /// One-line rationale, stable across runs (golden-tested).
+    /// One-line rationale naming the rule or the cost-based choice; stable
+    /// across runs.
     const char* reason = "";
     /// True when GPUSEL_BACKEND forced the choice.
     bool env_forced = false;
 };
 
+/// Modeled device time [ns] of running the problem on `backend`: the
+/// backend's predicted launch sequence, each launch priced by
+/// simt::simulate_time on `arch`.  Pure; a relative figure for choosing
+/// between backends, not a promise about one run.
+///   * sample: one bucketing level; the rank ends in an equality bucket
+///     with the probability the probed key shares predict, else a filter
+///     and a second level (or the base-case sort) follow.  Thrash
+///     feedback adds its re-run levels.
+///   * radix: fused digit passes over the keys that remain; each
+///     histogram pays one global atomic per distinct digit per warp, so
+///     its contended-bin cost grows with n and with the distinct keys.
+///   * bitonic: one single-block sort (feasible only up to its capacity).
+[[nodiscard]] double estimate_ns(BackendKind backend, const PlanQuery& q,
+                                 const DistributionHints& h, const simt::ArchSpec& arch);
+
 /// The pure decision function (the docs/planner.md decision table).
 /// `forced` is the parsed environment override, applied when feasible.
 [[nodiscard]] PlanDecision plan(const PlanQuery& q, const DistributionHints& h,
-                                std::optional<BackendKind> forced);
+                                const simt::ArchSpec& arch, std::optional<BackendKind> forced);
 
 /// Full planning step for one selection about to run on `stream`: probes
 /// `data`, reads GPUSEL_BACKEND, consumes the device's thrash feedback,

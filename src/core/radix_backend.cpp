@@ -19,9 +19,9 @@ constexpr std::size_t kCursorSlots = 2;
 RadixLaunchParams radix_params(const PipelineContext& ctx) {
     // The backend always histograms through *global* atomics with warp
     // aggregation, regardless of the configured space:
-    //  * the planner routes duplicate-heavy inputs here, where aggregation
-    //    collapses each warp's histogram update to about one atomic per
-    //    fused level (plain same-bin atomics would serialize warp-wide);
+    //  * the planner routes few-key inputs here, where aggregation
+    //    collapses each warp's histogram update to one atomic per
+    //    distinct digit (plain same-bin atomics would serialize warp-wide);
     //  * shared mode would pay one reduce launch per fused level over the
     //    [block][bin] partials -- a memory-bound pass with one thread per
     //    bin column, far below the utilization knee -- and that reduce

@@ -206,6 +206,7 @@ Result<SelectResult<T>> try_sample_select_staged(simt::Device& dev, DataHolder<T
     q.n = data.size();
     q.k = rank;
     q.base_case_size = cfg.base_case_size;
+    q.num_buckets = cfg.num_buckets;
     const PlanDecision plan = plan_selection<T>(dev, std::span<const T>(data.span()), q,
                                                 stream < 0 ? cfg.stream : stream);
 

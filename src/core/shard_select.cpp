@@ -120,6 +120,41 @@ Status check_rank(std::size_t n, std::size_t rank) {
     return Status::success();
 }
 
+/// Runs `step` on device `d`'s leased stream under the bounded fault-retry
+/// policy, like every step of the per-shard pipelines: the root-side
+/// checkouts and copies and the link transfers between the phases.
+template <typename T, typename F>
+Status retry_on(ShardEnv<T>& env, int d, F&& step) {
+    PipelineContext ctx(env.group.device(d), env.sel, env.stream[static_cast<std::size_t>(d)]);
+    return with_fault_retry(ctx, std::forward<F>(step));
+}
+
+/// A pooled buffer of `count` elements on device `d`'s leased stream,
+/// checked out under the retry policy.
+template <typename T, typename U>
+Status checkout(ShardEnv<T>& env, int d, std::size_t count,
+                std::optional<simt::PooledBuffer<U>>& out) {
+    return retry_on(env, d, [&] {
+        out.emplace(env.group.device(d).template pooled<U>(
+            count, env.stream[static_cast<std::size_t>(d)]));
+    });
+}
+
+/// One link transfer of src[0, count) from device `from` (its leased
+/// stream) into dst[dst_base, dst_base + count) on device `to`, under the
+/// sender's retry policy.  An injected fault is thrown before the failing
+/// endpoint's side effects, so a retry re-sends the whole payload into the
+/// same landing range on the same link-in stream: a write-after-write in
+/// stream order, which costs only the re-sent wire time.
+template <typename T, typename U>
+Status send(ShardEnv<T>& env, int from, std::span<const U> src, int to, std::span<U> dst,
+            std::size_t dst_base, std::size_t count, simt::TransferRecord& rec) {
+    return retry_on(env, from, [&] {
+        rec = env.group.template transfer<U>(from, src, 0, to, dst, dst_base, count,
+                                             env.stream[static_cast<std::size_t>(from)]);
+    });
+}
+
 /// The prologue every sharded front-end shares, in order: the config check,
 /// `args` (the front-end's own argument check), and the NaN count, an error
 /// under NanPolicy::reject.  When ascending `rank` (NaNs last) lies in the
@@ -266,8 +301,7 @@ Status merge_candidates(ShardEnv<T>& env, const std::vector<std::vector<T>>& can
         Node nd;
         nd.dev = d;
         nd.count = h.size();
-        nd.buf.emplace(
-            env.group.device(d).template pooled<T>(h.size(), env.stream[static_cast<std::size_t>(d)]));
+        if (Status st = checkout(env, d, h.size(), nd.buf); !st.ok()) return st;
         std::copy(h.begin(), h.end(), nd.buf->span().begin());
         active.push_back(std::move(nd));
     }
@@ -289,16 +323,23 @@ Status merge_candidates(ShardEnv<T>& env, const std::vector<std::vector<T>>& can
             for (std::size_t m = g; m < end; ++m) total += active[m].count;
             simt::Device& ldev = env.group.device(leader.dev);
             const int lstream = env.stream[static_cast<std::size_t>(leader.dev)];
-            auto gather = ldev.pooled<T>(total, lstream);
-            launch_copy<T>(ldev, std::span<const T>(leader.buf->span()), 0, gather.span(), 0,
-                           leader.count, simt::LaunchOrigin::host, env.sel.block_dim, lstream);
+            std::optional<simt::PooledBuffer<T>> gather;
+            Status st = retry_on(env, leader.dev, [&] {
+                gather.reset();  // a retry releases the failed attempt's buffer first
+                gather.emplace(ldev.pooled<T>(total, lstream));
+                launch_copy<T>(ldev, std::span<const T>(leader.buf->span()), 0, gather->span(),
+                               0, leader.count, simt::LaunchOrigin::host, env.sel.block_dim,
+                               lstream);
+            });
+            if (!st.ok()) return st;
             std::size_t off = leader.count;
             for (std::size_t m = g + 1; m < end; ++m) {
                 Node& mem = active[m];
                 const int mstream = env.stream[static_cast<std::size_t>(mem.dev)];
-                const auto rec =
-                    env.group.template transfer<T>(mem.dev, std::span<const T>(mem.buf->span()), 0,
-                                          leader.dev, gather.span(), off, mem.count, mstream);
+                simt::TransferRecord rec;
+                st = send(env, mem.dev, std::span<const T>(mem.buf->span()), leader.dev,
+                          gather->span(), off, mem.count, rec);
+                if (!st.ok()) return st;
                 // Leader-side consumers read after the landing write; the
                 // member's buffer is released only after the send finished.
                 ldev.wait_event(lstream, rec.ready_ns);
@@ -311,7 +352,7 @@ Status merge_candidates(ShardEnv<T>& env, const std::vector<std::vector<T>>& can
             merged.dev = leader.dev;
             merged.count = total;
             leader.buf.reset();
-            merged.buf.emplace(std::move(gather));
+            merged.buf = std::move(gather);
             next.push_back(std::move(merged));
         }
         active = std::move(next);
@@ -347,19 +388,25 @@ Status merge_candidates(ShardEnv<T>& env, const std::vector<std::vector<T>>& can
     simt::Device& rdev = env.group.device(0);
     const int rstream = env.stream[0];
     if (env.devices_used > 1) {
-        auto staged = rdev.pooled<T>(ms.splitters.size(), rstream);
-        std::copy(ms.splitters.begin(), ms.splitters.end(), staged.span().begin());
+        std::optional<simt::PooledBuffer<T>> staged;
+        Status st = checkout(env, 0, ms.splitters.size(), staged);
+        if (!st.ok()) return st;
+        std::copy(ms.splitters.begin(), ms.splitters.end(), staged->span().begin());
         double last_src_done = 0.0;
         for (int d = 1; d < env.devices_used; ++d) {
             simt::Device& ddev = env.group.device(d);
             const int dstream = env.stream[static_cast<std::size_t>(d)];
-            auto landing = ddev.pooled<T>(ms.splitters.size(), dstream);
-            const auto rec = env.group.template transfer<T>(0, std::span<const T>(staged.span()), 0, d,
-                                                   landing.span(), 0, ms.splitters.size(),
-                                                   rstream);
+            std::optional<simt::PooledBuffer<T>> landing;
+            simt::TransferRecord rec;
+            st = checkout(env, d, ms.splitters.size(), landing);
+            if (st.ok()) {
+                st = send(env, 0, std::span<const T>(staged->span()), d, landing->span(), 0,
+                          ms.splitters.size(), rec);
+            }
+            if (!st.ok()) return st;
             ddev.wait_event(dstream, rec.ready_ns);
             last_src_done = rec.src_done_ns;
-            std::vector<T> got(landing.span().begin(), landing.span().end());
+            std::vector<T> got(landing->span().begin(), landing->span().end());
             ms.device_tree[static_cast<std::size_t>(d)] = SearchTree<T>::build(std::move(got));
         }
         rdev.wait_event(rstream, last_src_done);
@@ -455,11 +502,14 @@ Status phase_count(ShardEnv<T>& env, const MergeState<T>& ms, std::size_t rank,
         if (!counts[d]) continue;
         const std::size_t len = rows[d] * b;
         landing.reset();
-        landing.emplace(rdev.pooled<std::int32_t>(len, rstream));
         const int sd = env.stream[d];
-        const auto rec = env.group.template transfer<std::int32_t>(
-            static_cast<int>(d), std::span<const std::int32_t>(counts[d]->span()), 0, 0,
-            landing->span(), 0, len, sd);
+        simt::TransferRecord rec;
+        Status st = checkout(env, 0, len, landing);
+        if (st.ok()) {
+            st = send(env, static_cast<int>(d), std::span<const std::int32_t>(counts[d]->span()),
+                      0, landing->span(), 0, len, rec);
+        }
+        if (!st.ok()) return st;
         rdev.wait_event(rstream, rec.ready_ns);
         env.group.device(static_cast<int>(d)).wait_event(sd, rec.src_done_ns);
         counts[d].reset();
@@ -475,13 +525,15 @@ Status phase_count(ShardEnv<T>& env, const MergeState<T>& ms, std::size_t rank,
     if (out.prefix[b] <= std::numeric_limits<std::int32_t>::max()) {
         // The tiny device kernel locates the bucket, as in the single-device
         // pipeline (Sec. IV-E).
-        std::vector<std::int32_t> t32(b);
-        for (std::size_t i = 0; i < b; ++i) t32[i] = static_cast<std::int32_t>(out.totals[i]);
-        auto dtot = rdev.pooled<std::int32_t>(b, rstream);
-        std::copy(t32.begin(), t32.end(), dtot.span().begin());
-        auto dpre = rdev.pooled<std::int32_t>(b + 1, rstream);
-        out.bucket = select_bucket_kernel(rdev, std::span<const std::int32_t>(dtot.span()),
-                                          dpre.span(), rank, simt::LaunchOrigin::host, rstream);
+        Status st = retry_on(env, 0, [&] {
+            auto dtot = rdev.pooled<std::int32_t>(b, rstream);
+            for (std::size_t i = 0; i < b; ++i) dtot[i] = static_cast<std::int32_t>(out.totals[i]);
+            auto dpre = rdev.pooled<std::int32_t>(b + 1, rstream);
+            out.bucket = select_bucket_kernel(rdev, std::span<const std::int32_t>(dtot.span()),
+                                              dpre.span(), rank, simt::LaunchOrigin::host,
+                                              rstream);
+        });
+        if (!st.ok()) return st;
         env.sample_peaks();
     } else {
         // Beyond int32 the prefix scan stays on the host (the kernel's
@@ -536,7 +588,7 @@ Status phase_filter_merge(ShardEnv<T>& env, const MergeState<T>& ms, const Count
         return Status::failure(SelectError::internal,
                                "sharded filter gathered a mis-sized bucket");
     }
-    merged.emplace(rdev.pooled<T>(co.bucket_size, rstream));
+    if (Status st = checkout(env, 0, co.bucket_size, merged); !st.ok()) return st;
     std::vector<std::optional<simt::PooledBuffer<T>>> frags(devices);
 
     for (std::size_t j = 0; j < env.chunks.size(); ++j) {
@@ -564,9 +616,10 @@ Status phase_filter_merge(ShardEnv<T>& env, const MergeState<T>& ms, const Count
     for (std::size_t d = 1; d < devices; ++d) {
         if (!frags[d]) continue;
         const int sd = env.stream[d];
-        const auto rec = env.group.template transfer<T>(
-            static_cast<int>(d), std::span<const T>(frags[d]->span()), 0, 0, merged->span(),
-            dev_base[d], dev_len[d], sd);
+        simt::TransferRecord rec;
+        Status st = send(env, static_cast<int>(d), std::span<const T>(frags[d]->span()), 0,
+                         merged->span(), dev_base[d], dev_len[d], rec);
+        if (!st.ok()) return st;
         rdev.wait_event(rstream, rec.ready_ns);
         env.group.device(static_cast<int>(d)).wait_event(sd, rec.src_done_ns);
         frags[d].reset();
@@ -746,18 +799,25 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
     simt::Device& rdev = env.group.device(0);
     const int rstream = env.stream[0];
     if (env.devices_used > 1) {
-        auto staged = rdev.pooled<T>(1, rstream);
-        staged[0] = t;
+        std::optional<simt::PooledBuffer<T>> staged;
+        Status st = checkout(env, 0, 1, staged);
+        if (!st.ok()) return st;
+        (*staged)[0] = t;
         double last_src_done = 0.0;
         for (int d = 1; d < env.devices_used; ++d) {
             simt::Device& ddev = env.group.device(d);
             const int ds = env.stream[static_cast<std::size_t>(d)];
-            auto landing = ddev.pooled<T>(1, ds);
-            const auto rec = env.group.template transfer<T>(0, std::span<const T>(staged.span()), 0, d,
-                                                   landing.span(), 0, 1, rstream);
+            std::optional<simt::PooledBuffer<T>> landing;
+            simt::TransferRecord rec;
+            st = checkout(env, d, 1, landing);
+            if (st.ok()) {
+                st = send(env, 0, std::span<const T>(staged->span()), d, landing->span(), 0, 1,
+                          rec);
+            }
+            if (!st.ok()) return st;
             ddev.wait_event(ds, rec.ready_ns);
             last_src_done = rec.src_done_ns;
-            const T got = landing[0];
+            const T got = (*landing)[0];
             tri[static_cast<std::size_t>(d)] = SearchTree<T>::build({got, got, got});
         }
         rdev.wait_event(rstream, last_src_done);
@@ -768,7 +828,8 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
     // a root buffer; threshold copies pad the set to exactly kp.
     SampleSelectConfig cfg3 = env.sel;
     cfg3.num_buckets = 4;
-    auto merged = rdev.pooled<T>(kp, rstream);
+    std::optional<simt::PooledBuffer<T>> merged;
+    if (Status st = checkout(env, 0, kp, merged); !st.ok()) return st;
     std::size_t off = 0;
     for (std::size_t j = 0; j < env.chunks.size(); ++j) {
         const auto& chunk = env.chunks[j];
@@ -800,19 +861,25 @@ Result<ShardedTopKResult<T>> try_sharded_topk(simt::DeviceGroup& group, std::spa
                                    "sharded top-k gathered more than k winners");
         }
         if (d == 0) {
-            launch_copy<T>(rdev, std::span<const T>(frag_keep->span()), 0, merged.span(), off, qj,
-                           simt::LaunchOrigin::host, env.sel.block_dim, rstream);
+            st = retry_on(env, 0, [&] {
+                launch_copy<T>(rdev, std::span<const T>(frag_keep->span()), 0, merged->span(),
+                               off, qj, simt::LaunchOrigin::host, env.sel.block_dim, rstream);
+            });
         } else {
-            const auto rec = env.group.template transfer<T>(d, std::span<const T>(frag_keep->span()), 0, 0,
-                                                   merged.span(), off, qj, sd);
-            rdev.wait_event(rstream, rec.ready_ns);
-            dev.wait_event(sd, rec.src_done_ns);
+            simt::TransferRecord rec;
+            st = send(env, d, std::span<const T>(frag_keep->span()), 0, merged->span(), off,
+                      qj, rec);
+            if (st.ok()) {
+                rdev.wait_event(rstream, rec.ready_ns);
+                dev.wait_event(sd, rec.src_done_ns);
+            }
         }
+        if (!st.ok()) return st;
         frag_keep.reset();
         off += qj;
     }
-    res.elements.assign(merged.span().begin(),
-                        merged.span().begin() + static_cast<std::ptrdiff_t>(off));
+    res.elements.assign(merged->span().begin(),
+                        merged->span().begin() + static_cast<std::ptrdiff_t>(off));
     res.elements.resize(kp, t);  // pad with threshold copies (ties)
     for (std::size_t i = 0; i < nan; ++i) res.elements.push_back(quiet_nan<T>());
     res.threshold = t;

@@ -176,6 +176,7 @@ Result<TopKResult<T>> try_topk_largest(simt::Device& dev, std::span<const T> inp
     q.k = kk;
     q.topk = true;
     q.base_case_size = cfg.base_case_size;
+    q.num_buckets = cfg.num_buckets;
     const PlanDecision plan =
         plan_selection<T>(dev, std::span<const T>(staged.span()), q, cfg.stream);
 

@@ -147,6 +147,20 @@ std::vector<T> generate(const DatasetSpec& spec) {
     return out;
 }
 
+std::vector<float> generate_duplicate_mix(std::size_t n, std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    float heavy[7];
+    for (float& h : heavy) h = static_cast<float>(rng.uniform());
+    std::vector<float> v(n);
+    for (float& x : v) {
+        const double u = rng.uniform();
+        x = u < 0.5   ? heavy[0]
+            : u < 0.8 ? heavy[1 + rng.bounded(6)]
+                      : static_cast<float>(rng.uniform());
+    }
+    return v;
+}
+
 std::size_t random_rank(std::size_t n, std::uint64_t seed) {
     if (n == 0) throw std::invalid_argument("random_rank: empty dataset");
     Xoshiro256 rng(seed ^ 0xa5a5a5a5a5a5a5a5ULL);

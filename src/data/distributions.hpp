@@ -64,6 +64,12 @@ struct DatasetSpec {
 template <typename T>
 [[nodiscard]] std::vector<T> generate(const DatasetSpec& spec);
 
+/// Duplicate-heavy keys with a distinct tail: half the elements share one
+/// value, 30 % share six more (5 % each) and 20 % are distinct reals, all
+/// in [0, 1).  Most ranks end in an equality bucket; the planner's cost
+/// model must still route the selection to the sampler.
+[[nodiscard]] std::vector<float> generate_duplicate_mix(std::size_t n, std::uint64_t seed);
+
 /// Draws a target rank uniformly from [0, n) (Sec. V-A: "we also chose a
 /// random rank uniformly at random to simulate a variety of workloads").
 [[nodiscard]] std::size_t random_rank(std::size_t n, std::uint64_t seed);

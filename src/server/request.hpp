@@ -21,6 +21,7 @@
 #include "core/config.hpp"
 #include "core/quantile.hpp"
 #include "core/status.hpp"
+#include "stats/latency_histogram.hpp"
 
 namespace gpusel::simt {
 class DeviceGroup;
@@ -192,10 +193,14 @@ struct ServerMetrics {
     std::uint64_t degraded = 0;           ///< exact downgraded to approx
     std::uint64_t sharded = 0;            ///< routed to the sharded path
     std::uint64_t failed = 0;             ///< other non-ok terminal status
-    std::vector<double> latencies_ns;
+    /// Completed-request latencies in fixed memory (relative error of a
+    /// percentile at most stats::LatencyHistogram::kRelativeError).
+    stats::LatencyHistogram latency_ns;
 
     /// Latency percentile in [0, 100] over completed requests (0 when none).
-    [[nodiscard]] double latency_percentile(double pct) const;
+    [[nodiscard]] double latency_percentile(double pct) const {
+        return latency_ns.percentile(pct);
+    }
 };
 
 }  // namespace gpusel::server

@@ -43,16 +43,6 @@ bool is_fault_code(SelectError e) noexcept {
     }
 }
 
-double percentile(std::vector<double> v, double pct) {
-    if (v.empty()) return 0.0;
-    const double pos = pct / 100.0 * static_cast<double>(v.size() - 1);
-    auto idx = static_cast<std::size_t>(pos);
-    idx = std::min(idx, v.size() - 1);
-    auto nth = v.begin() + static_cast<std::ptrdiff_t>(idx);
-    std::nth_element(v.begin(), nth, v.end());
-    return *nth;
-}
-
 /// Elements above which a request is oversized for the single device and
 /// routes to the sharded path.  The explicit config threshold wins; the
 /// derived default is the group's per-device staging budget, so anything
@@ -68,10 +58,6 @@ std::size_t shard_threshold(const ServerConfig& cfg) noexcept {
 }
 
 }  // namespace
-
-double ServerMetrics::latency_percentile(double pct) const {
-    return percentile(latencies_ns, pct);
-}
 
 SelectServer::SelectServer(simt::Device& dev, ServerConfig cfg)
     : dev_(dev), cfg_(std::move(cfg)), breakers_(cfg_.breaker) {
@@ -568,7 +554,7 @@ void SelectServer::run_round(std::vector<Pending> picked, double round_start) {
             if (f.resp.status.ok()) {
                 ++metrics_.completed;
                 if (f.resp.mode == ResponseMode::degraded) ++metrics_.degraded;
-                metrics_.latencies_ns.push_back(f.resp.latency_ns());
+                metrics_.latency_ns.add(f.resp.latency_ns());
             } else if (f.resp.status.code == SelectError::deadline_exceeded) {
                 if (ran) ++metrics_.deadline_aborted;
             } else {

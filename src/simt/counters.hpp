@@ -149,7 +149,7 @@ struct PlannerEvent {
     int stream = 0;
     /// Backend name ("sample" / "radix" / "bitonic").
     std::string backend;
-    /// One-line rationale ("duplicate-heavy probe", "env override", ...).
+    /// One-line rationale ("lowest modeled cost: sample", "GPUSEL_BACKEND override", ...).
     std::string reason;
     /// Problem shape the decision was made for.
     std::uint64_t n = 0;

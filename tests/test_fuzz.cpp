@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <string>
+#include <type_traits>
 
 #include "baselines/bucketselect.hpp"
 #include "baselines/quickselect.hpp"
@@ -218,6 +221,83 @@ TEST_P(Fuzz, ShardedTopKAgreesWithReference) {
     const auto got = total_order(res.elements);
     for (std::size_t i = 0; i < k; ++i) expect_same_key(got[i], want[i], what);
     expect_same_key(res.threshold, want.front(), what + " threshold");
+}
+
+/// Duplicate-heavy and low-distinct keys of `n` elements, the inputs where
+/// the planner's backends differ most: zipf, 2..4096 uniformly drawn
+/// values, or the select benchmark's mix (half the keys one value, 30 %
+/// six more, 20 % distinct).
+std::vector<float> duplicate_heavy(std::size_t n, std::uint64_t seed, data::Xoshiro256& rng,
+                                   std::string& what) {
+    switch (rng.bounded(3)) {
+        case 0:
+            what = "zipf";
+            return data::generate<float>({.n = n, .dist = data::Distribution::zipf, .seed = seed});
+        case 1: {
+            const std::size_t d = std::size_t{2} << rng.bounded(12);  // 2 .. 4096
+            what = std::to_string(d) + " distinct";
+            return data::generate<float>({.n = n,
+                                          .dist = data::Distribution::uniform_distinct,
+                                          .distinct_values = d,
+                                          .seed = seed});
+        }
+        default:
+            what = "dups mix";
+            return data::generate_duplicate_mix(n, seed);
+    }
+}
+
+/// Runs the planned select and every backend forced through GPUSEL_BACKEND
+/// on `keys` (converted to T; ArgPair payloads are the indices) and checks
+/// each answer against the total-order reference.
+template <typename T>
+void expect_backends_agree(const std::vector<float>& keys, std::size_t rank,
+                           const core::SampleSelectConfig& cfg, bool nans,
+                           const std::string& what) {
+    std::vector<T> data(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if constexpr (std::is_same_v<T, core::ArgPair>) {
+            data[i] = {keys[i], static_cast<std::uint32_t>(i)};
+        } else {
+            data[i] = static_cast<T>(keys[i]);
+        }
+    }
+    std::vector<T> sorted = data;
+    std::sort(sorted.begin(), sorted.end(), [](T a, T b) { return core::total_less(a, b); });
+    const T want = sorted[rank];
+    for (const char* backend : {"auto", "sample", "radix", "bitonic"}) {
+        const std::string where = what + " backend=" + backend;
+        ::setenv("GPUSEL_BACKEND", backend, 1);
+        simt::Device dev(simt::arch_v100());
+        const auto r = core::try_sample_select<T>(dev, data, rank, cfg);
+        ::unsetenv("GPUSEL_BACKEND");
+        if (nans && cfg.nan_policy == core::NanPolicy::reject) {
+            EXPECT_EQ(r.error(), core::SelectError::nan_keys_rejected) << where;
+            continue;
+        }
+        ASSERT_TRUE(r.ok()) << where << ": " << r.status().to_message();
+        const T got = r.value().value;
+        if (core::is_nan_key(want)) {
+            EXPECT_TRUE(core::is_nan_key(got)) << where;
+        } else {
+            EXPECT_TRUE(core::total_equal(got, want)) << where;
+        }
+    }
+}
+
+// The planner's differential: on duplicate-heavy keys the planned select
+// and each forced backend (an infeasible force falls through to the
+// planner) return the reference answer, for every key type and NaN policy.
+TEST_P(Fuzz, PlannedAndForcedBackendsAgreeOnDuplicateHeavyKeys) {
+    auto c = make_case(GetParam() + 8000);
+    data::Xoshiro256 rng(GetParam() * 0x9e3779b97f4a7c15ULL + 17);
+    std::string dist;
+    c.data = duplicate_heavy(c.data.size(), GetParam(), rng, dist);
+    const bool nans = add_nans(c, rng);
+    const std::string what = c.description + " keys=" + dist + " rank=" + std::to_string(c.rank);
+    expect_backends_agree<float>(c.data, c.rank, c.cfg, nans, what + " float");
+    expect_backends_agree<double>(c.data, c.rank, c.cfg, nans, what + " double");
+    expect_backends_agree<core::ArgPair>(c.data, c.rank, c.cfg, nans, what + " argpair");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz, ::testing::Range<std::uint64_t>(0, 24));

@@ -226,6 +226,54 @@ TEST(Server, OversizedRequestsRouteToShardGroup) {
     EXPECT_EQ(srv.metrics().sharded, 3u);
 }
 
+// Injected faults on the sharded route resolve the request -- exactly, or
+// with a fault Status -- and never escape the pump: the schedules below
+// once threw simt::AllocFault / simt::LaunchFault out of the sharded
+// front-ends and ended the server's pump.
+TEST(Server, ShardedRequestsUnderFaultsResolveWithoutEndingThePump) {
+    simt::Device dev(simt::arch_v100());
+    simt::TopologySpec spec;
+    spec.num_devices = 3;
+    spec.arch = simt::arch_v100();
+    spec.mem_capacity_bytes = 64 * 1024;
+    const auto big = dataset(70001, 23);
+    for (const char* schedule : {"seed=1,alloc=0.02", "seed=11,launch=0.05"}) {
+        SCOPED_TRACE(schedule);
+        simt::DeviceGroup group(spec);
+        for (int d = 0; d < group.size(); ++d) {
+            group.device(d).set_faults(simt::FaultSpec::parse(schedule));
+        }
+        ServerConfig cfg;
+        cfg.shard_group = &group;
+        cfg.shard_threshold_elems = 8192;
+        SelectServer srv(dev, cfg);
+        Request sel;
+        sel.data = big;
+        sel.rank = 23333;
+        Request tk;
+        tk.kind = RequestKind::topk;
+        tk.data = big;
+        tk.k = 40;
+        Request ap = sel;
+        ap.approx = true;
+        for (const Request& req : {sel, tk, ap}) {
+            auto fut = srv.submit(req);
+            ASSERT_NO_THROW(srv.pump());
+            const Response r = fut.get();
+            if (r.status.ok()) {
+                if (req.kind == RequestKind::select && !req.approx) {
+                    EXPECT_EQ(stats::rank_error<float>(big, r.value, req.rank), 0u);
+                }
+            } else {
+                EXPECT_TRUE(r.status.code == core::SelectError::allocation_failed ||
+                            r.status.code == core::SelectError::launch_failed)
+                    << r.status.to_message();
+            }
+        }
+        EXPECT_EQ(srv.metrics().sharded, 3u);
+    }
+}
+
 // ---- typed rejections --------------------------------------------------------
 
 TEST(Server, InvalidRequestsRejectTyped) {

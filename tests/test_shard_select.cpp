@@ -26,6 +26,7 @@
 #include "core/sample_select.hpp"
 #include "data/rng.hpp"
 #include "simt/arch.hpp"
+#include "simt/fault.hpp"
 #include "simt/streamsan.hpp"
 #include "simt/topology.hpp"
 
@@ -301,6 +302,51 @@ TEST(ShardedSelect, DoubleKeysAndDeepFanin) {
 
 // ---- approximate sharded selection ------------------------------------------
 
+// Injected faults on the sharded path come back through the Result channel.
+// The root-side checkouts and copies and every link transfer run under the
+// bounded retry policy, so these schedules -- which once threw
+// simt::AllocFault, and simt::LaunchFault from a link_send, straight out of
+// the front-ends -- end in a correct answer or a typed Status.
+TEST(ShardedSelect, InjectedFaultsReturnAResultAndNeverThrow) {
+    const std::size_t n = 70001;
+    const auto data = random_floats(n, 70001);
+    const std::size_t rank = n / 3;
+    const float want = reference_select(data, rank);
+    const char* schedules[] = {"seed=1,alloc=0.02", "seed=4,alloc=0.02", "seed=6,alloc=0.02",
+                               "seed=7,alloc=0.02", "seed=11,launch=0.05"};
+    auto expect_fault_status = [](const core::Status& s) {
+        EXPECT_TRUE(s.code == core::SelectError::allocation_failed ||
+                    s.code == core::SelectError::launch_failed)
+            << s.to_message();
+    };
+    for (const char* schedule : schedules) {
+        SCOPED_TRACE(schedule);
+        const auto spec = simt::FaultSpec::parse(schedule);
+        simt::DeviceGroup group(tiny_spec(3));
+        for (int d = 0; d < group.size(); ++d) group.device(d).set_faults(spec);
+        EXPECT_NO_THROW({
+            const auto r = core::try_sharded_select<float>(group, data, rank, {});
+            if (r.ok()) {
+                EXPECT_EQ(r.value().value, want);
+            } else {
+                expect_fault_status(r.status());
+            }
+        });
+        EXPECT_NO_THROW({
+            const auto r = core::try_sharded_approx_select<float>(group, data, rank, {});
+            if (!r.ok()) expect_fault_status(r.status());
+        });
+        EXPECT_NO_THROW({
+            const auto r = core::try_sharded_topk<float>(group, data, 100, {});
+            if (r.ok()) {
+                EXPECT_EQ(r.value().threshold, reference_select(data, n - 100));
+            } else {
+                expect_fault_status(r.status());
+            }
+        });
+    }
+}
+
 TEST(ShardedApprox, ErrorWithinReportedBound) {
     const std::size_t n = 70000;
     const auto input = random_floats(n, 109);
@@ -447,6 +493,18 @@ void launch_write(simt::Device& dev, std::span<float> buf, int stream) {
                });
 }
 
+/// Two-device group with strict StreamSan and no fault schedule: the
+/// hazard probes below drive raw transfers and launches outside any retry,
+/// so an ambient GPUSEL_FAULTS schedule (the soak's) is switched off.
+simt::DeviceGroup strict_quiet_group() {
+    simt::DeviceGroup group(tiny_spec(2));
+    for (int d = 0; d < group.size(); ++d) {
+        group.device(d).set_faults(simt::FaultSpec{});
+        group.device(d).set_stream_sanitizer(StreamSanMode::strict);
+    }
+    return group;
+}
+
 /// Runs `f` and returns the HazardKind of the StreamSanError it throws, or
 /// nullopt if it completes cleanly.
 template <typename F>
@@ -460,9 +518,7 @@ std::optional<HazardKind> hazard_kind_of(F&& f) {
 }
 
 TEST(ShardStreamSan, ReadingLandingBufferWithoutReadyEdgeIsRace) {
-    simt::DeviceGroup group(tiny_spec(2));
-    group.device(0).set_stream_sanitizer(StreamSanMode::strict);
-    group.device(1).set_stream_sanitizer(StreamSanMode::strict);
+    simt::DeviceGroup group = strict_quiet_group();
     auto src = group.device(0).pooled<float>(256);
     auto dst = group.device(1).pooled<float>(256);
     for (std::size_t i = 0; i < 256; ++i) src[i] = static_cast<float>(i);
@@ -477,9 +533,7 @@ TEST(ShardStreamSan, ReadingLandingBufferWithoutReadyEdgeIsRace) {
 }
 
 TEST(ShardStreamSan, OverwritingSourceDuringSendIsRace) {
-    simt::DeviceGroup group(tiny_spec(2));
-    group.device(0).set_stream_sanitizer(StreamSanMode::strict);
-    group.device(1).set_stream_sanitizer(StreamSanMode::strict);
+    simt::DeviceGroup group = strict_quiet_group();
     auto src = group.device(0).pooled<float>(256);
     auto dst = group.device(1).pooled<float>(256);
     for (std::size_t i = 0; i < 256; ++i) src[i] = static_cast<float>(i);
@@ -493,9 +547,7 @@ TEST(ShardStreamSan, OverwritingSourceDuringSendIsRace) {
 }
 
 TEST(ShardStreamSan, TransferEdgesMakeConsumptionClean) {
-    simt::DeviceGroup group(tiny_spec(2));
-    group.device(0).set_stream_sanitizer(StreamSanMode::strict);
-    group.device(1).set_stream_sanitizer(StreamSanMode::strict);
+    simt::DeviceGroup group = strict_quiet_group();
     auto src = group.device(0).pooled<float>(256);
     auto dst = group.device(1).pooled<float>(256);
     for (std::size_t i = 0; i < 256; ++i) src[i] = static_cast<float>(i);

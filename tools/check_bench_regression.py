@@ -94,6 +94,34 @@ def planner_coverage(doc):
     return True, [c for c, v in sums.items() if v <= 0]
 
 
+# Planner-choice step: BM_PlannerAdversarial times every input twice on
+# the modeled clock (UseManualTime, so the figures do not depend on the
+# host): planned (last argument 0) and with GPUSEL_BACKEND=sample (last
+# argument 1).  A planned row may never be slower than its forced-sample
+# sibling, so a planner that routes the duplicate-heavy selects back to
+# radix, or the deep top-k rows away from it, fails whatever the host.
+PLANNER_FAMILY = "BM_PlannerAdversarial"
+
+
+def planner_choice(doc):
+    """Returns the problems of the planner-choice step (empty == pass)."""
+    pairs = {}
+    for b in doc.get("benchmarks", []):
+        name = b.get("name", "")
+        if b.get("run_type") == "aggregate" or family_of(name) != PLANNER_FAMILY:
+            continue
+        parts = name.split("/")
+        if len(parts) < 4 or not b.get("items_per_second"):
+            continue
+        pairs.setdefault(tuple(parts[1:3]), {})[parts[3]] = (name, b["items_per_second"])
+    problems = []
+    for (planned, forced) in ((p.get("0"), p.get("1")) for _, p in sorted(pairs.items())):
+        if planned and forced and planned[1] < forced[1] * (1.0 - 1e-9):
+            problems.append(f"{planned[0]} models {planned[1] / forced[1]:.2f}x the "
+                            f"items/s of its forced-sample sibling")
+    return problems
+
+
 # Sharded-selection coverage: the bench sweep must include the
 # BM_ShardedSelect family and its modeled interconnect traffic counter
 # (bench_simulator_overhead exports link_bytes_per_iter per run).  Unlike
@@ -298,6 +326,12 @@ def run_gate(baseline_path, current_path, tolerance, summary_out,
     else:
         print("planner coverage skipped: no backend_* counters in this run")
 
+    choice_problems = planner_choice(current_doc)
+    if choice_problems:
+        print(f"FAIL: planner choice: {'; '.join(choice_problems)}", file=sys.stderr)
+    else:
+        print(f"planner choice OK: no {PLANNER_FAMILY} auto row slower than forced sample")
+
     shard_problems = shard_coverage(current_doc, baseline_doc)
     if shard_problems:
         print(f"FAIL: shard coverage: {'; '.join(shard_problems)}",
@@ -334,7 +368,7 @@ def run_gate(baseline_path, current_path, tolerance, summary_out,
         print(f"FAIL: families regressed past -{tolerance:.0%}: {', '.join(failed)}",
               file=sys.stderr)
         return REGRESSION
-    if (checked and missing) or shard_problems or slo_failures:
+    if (checked and missing) or choice_problems or shard_problems or slo_failures:
         return REGRESSION
     print(f"OK: {len(families)} families within tolerance "
           f"({len([r for r in rows if r[3] is not None])} benchmarks compared)")
@@ -394,6 +428,30 @@ def self_test(baseline_path, tolerance):
             print("self-test FAIL: zeroed backend tally did not trip coverage",
                   file=sys.stderr)
             return REGRESSION
+    # Planner-choice step: the baseline passes; swapping the items/s of one
+    # auto / forced-sample pair (the planner picking the slower backend)
+    # must trip it.
+    if planner_choice(doc):
+        print("self-test FAIL: baseline tripped the planner-choice step", file=sys.stderr)
+        return REGRESSION
+    swapped = copy.deepcopy(doc)
+    runs = {b["name"]: b for b in swapped.get("benchmarks", [])
+            if family_of(b.get("name", "")) == PLANNER_FAMILY}
+    sibling = {n: runs.get(n.replace("/0/manual_time", "/1/manual_time"))
+               for n in runs if n.endswith("/0/manual_time")}
+    pair = next(((runs[n], f) for n, f in sibling.items()
+                 if f and f["items_per_second"] != runs[n]["items_per_second"]), None)
+    if pair is None:
+        print(f"self-test FAIL: baseline has no {PLANNER_FAMILY} pair to swap",
+              file=sys.stderr)
+        return REGRESSION
+    auto, forced = pair
+    auto["items_per_second"], forced["items_per_second"] = (forced["items_per_second"],
+                                                            auto["items_per_second"])
+    if not planner_choice(swapped):
+        print("self-test FAIL: a slower planned row did not trip the planner-choice step",
+              file=sys.stderr)
+        return REGRESSION
     # Shard-coverage step: the baseline must carry the sharded family with
     # traffic on the modeled links, dropping the family must trip, and
     # stripping the link-byte counters must trip.
@@ -471,6 +529,7 @@ def self_test(baseline_path, tolerance):
         print("self-test FAIL: nominal shed did not trip the SLO gate", file=sys.stderr)
         return REGRESSION
     print(f"self-test OK: gate trips at -{tolerance:.0%} and passes inside it; "
+          "planner choice trips on a planned row slower than forced sample; "
           "shard coverage trips on a missing family, link counter or launch blow-up; "
           "SLO gate trips on p99 inflation and nominal shed")
     return PASS
